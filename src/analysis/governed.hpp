@@ -5,7 +5,7 @@
 // finishes within budget:
 //
 //   rung 1  exact    throughput_symbolic — the sparse symbolic iteration
-//                    matrix + Karp, the paper's exact route and the fastest
+//                    matrix + Howard, the paper's exact route and the fastest
 //                    one by far.  Runs under the caller's full budget.
 //   rung 2  bound    the paper-abstraction route: classical expansion +
 //                    Definition 4 grouping, whose per-actor bound is

@@ -285,7 +285,7 @@ Refined<IncrementalThroughput> IncrementalThroughputAnalysis::refine(
         }
     }
 
-    // --- Certificate re-check; Karp only on SCCs whose witnesses broke. --
+    // --- Certificate re-check; Howard only on SCCs whose witnesses broke.
     std::size_t rescored = 0;
     McmCertificate certificate = refine_cycle_mean(st.certificate, deltas, &rescored);
 

@@ -16,7 +16,7 @@
 //      yielding edge-weight deltas on the precedence graph, and
 //   3. a certificate re-check (maxplus/mcm_certificate.hpp): λ survives in
 //      O(changed + critical cycle) when the stored witnesses still hold,
-//      and only a dirty SCC ever re-runs Karp.
+//      and only a dirty SCC ever re-runs Howard.
 //
 // The slot lives at refine phase 1; ThroughputAnalysis (phase 2) forwards
 // to the result refined here, so `cached_throughput` callers get warm
@@ -67,7 +67,7 @@ struct IncrementalThroughput {
     ThroughputResult result;
     std::shared_ptr<const IncrementalThroughputState> state;
     std::uint64_t refines = 0;        ///< timing deltas absorbed so far
-    std::uint64_t rescored_sccs = 0;  ///< SCCs that needed a Karp re-solve
+    std::uint64_t rescored_sccs = 0;  ///< SCCs that needed a Howard re-solve
 };
 
 /// AnalysisManager slot (see sdf/analysis_manager.hpp).  Time-sensitive,

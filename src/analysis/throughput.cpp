@@ -65,7 +65,7 @@ ThroughputResult throughput_symbolic(const Graph& graph) {
     } catch (const DeadlockError&) {
         return deadlocked_result(graph);
     }
-    const CycleMetric metric = max_cycle_mean_karp(iteration.matrix.precedence_graph());
+    const CycleMetric metric = max_cycle_mean(iteration.matrix.precedence_graph());
     if (metric.outcome == CycleOutcome::no_cycle) {
         ThroughputResult result;
         result.outcome = ThroughputOutcome::unbounded;

@@ -11,13 +11,14 @@
 // against one another throughout the test suite:
 //
 //  1. throughput_symbolic        — Algorithm 1's symbolic execution gives
-//                                  the iteration matrix; Karp's algorithm
-//                                  gives its eigenvalue exactly.  This is
+//                                  the iteration matrix; Howard's policy
+//                                  iteration (maxplus/mcm.hpp) gives its
+//                                  eigenvalue exactly.  This is
 //                                  the method of [8, 7] the paper builds on
 //                                  and the fastest route by far.
 //  2. throughput_via_classic_hsdf — the baseline pipeline of [11, 15]:
-//                                  classical expansion to an HSDF, then an
-//                                  exact maximum-cycle-ratio computation.
+//                                  classical expansion to an HSDF, then
+//                                  Howard's exact maximum cycle ratio.
 //  3. throughput_simulation      — explicit self-timed state-space
 //                                  exploration until a recurrent state [8].
 //
@@ -53,7 +54,7 @@ struct ThroughputResult {
     [[nodiscard]] bool is_finite() const { return outcome == ThroughputOutcome::finite; }
 };
 
-/// Route 1: symbolic iteration matrix + Karp (exact, recommended).
+/// Route 1: symbolic iteration matrix + max cycle mean (exact, recommended).
 ThroughputResult throughput_symbolic(const Graph& graph);
 
 /// AnalysisManager slot for route 1 (see sdf/analysis_manager.hpp): the

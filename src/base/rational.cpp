@@ -86,8 +86,4 @@ std::ostream& operator<<(std::ostream& os, const Rational& r) {
     return os << r.to_string();
 }
 
-Rational mediant(const Rational& a, const Rational& b) {
-    return Rational(checked_add(a.num(), b.num()), checked_add(a.den(), b.den()));
-}
-
 }  // namespace sdf

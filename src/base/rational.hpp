@@ -74,8 +74,4 @@ private:
 
 std::ostream& operator<<(std::ostream& os, const Rational& r);
 
-/// Mediant (a.num+b.num)/(a.den+b.den) — the Stern–Brocot descent step used
-/// by the exact cycle-ratio search.
-Rational mediant(const Rational& a, const Rational& b);
-
 }  // namespace sdf

@@ -1,7 +1,7 @@
 // thread_pool.hpp — a small fixed-size thread pool for data-parallel loops.
 //
 // The performance-critical kernels in this library (blocked max-plus matrix
-// products, per-SCC Karp runs, per-model benchmark sweeps) are all
+// products, per-model benchmark sweeps) are all
 // embarrassingly parallel loops over independent chunks, so the pool is
 // deliberately work-stealing-free: parallel_for hands out contiguous index
 // chunks from one shared atomic cursor and every participant (workers and

@@ -193,7 +193,7 @@ CsdfThroughput csdf_throughput(const CsdfGraph& graph) {
         result.per_actor.assign(graph.actor_count(), Rational(0));
         return result;
     }
-    const CycleMetric metric = max_cycle_mean_karp(iteration.matrix.precedence_graph());
+    const CycleMetric metric = max_cycle_mean(iteration.matrix.precedence_graph());
     if (metric.outcome != CycleOutcome::finite || metric.value.is_zero()) {
         result.unbounded = true;
         return result;

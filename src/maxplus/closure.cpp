@@ -11,7 +11,7 @@
 namespace sdf {
 
 bool has_positive_weight_cycle(const MpMatrix& matrix) {
-    const CycleMetric metric = max_cycle_mean_karp(matrix.precedence_graph());
+    const CycleMetric metric = max_cycle_mean(matrix.precedence_graph());
     return metric.is_finite() && metric.value > Rational(0);
 }
 

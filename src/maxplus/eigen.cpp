@@ -20,7 +20,7 @@ MpEigen mp_eigen(const MpMatrix& matrix) {
         throw ArithmeticError("mp_eigen requires an irreducible matrix "
                               "(strongly connected precedence graph)");
     }
-    const CycleMetric metric = max_cycle_mean_karp(graph);
+    const CycleMetric metric = max_cycle_mean(graph);
     if (!metric.is_finite()) {
         throw ArithmeticError("mp_eigen: no cycle in the precedence graph");
     }

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "base/arena.hpp"
 #include "base/errors.hpp"
-#include "base/thread_pool.hpp"
 #include "maxplus/kernels.hpp"
 #include "robust/budget.hpp"
 
@@ -17,8 +18,8 @@ namespace {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-/// Longest-walk table for Karp's algorithm on one strongly connected
-/// component, identified by a node list and the edges inside it.
+/// One strongly connected component, identified by a node list and the
+/// edges inside it.
 struct SccView {
     std::vector<std::size_t> nodes;               // global indices
     std::vector<DigraphEdge> edges;               // endpoints remapped to local indices
@@ -42,6 +43,14 @@ std::vector<SccView> split_into_sccs(const Digraph& graph) {
     return views;
 }
 
+bool scc_has_cycle(const SccView& scc) {
+    if (scc.nodes.size() > 1) {
+        return !scc.edges.empty();
+    }
+    return std::any_of(scc.edges.begin(), scc.edges.end(),
+                       [](const DigraphEdge& e) { return e.from == e.to; });
+}
+
 /// Largest |weight| over the component's edges, in uint64 so INT64_MIN is
 /// safe.
 std::uint64_t max_abs_weight(const std::vector<DigraphEdge>& edges) {
@@ -56,12 +65,6 @@ std::uint64_t max_abs_weight(const std::vector<DigraphEdge>& edges) {
     return best;
 }
 
-Rational karp_on_scc(const SccView& scc) {
-    return karp_on_component(scc.edges, scc.nodes.size());
-}
-
-}  // namespace
-
 /// Karp's algorithm on one SCC that is known to contain at least one edge.
 ///
 /// D[k][v] = maximum weight of a walk with exactly k edges from the source
@@ -72,8 +75,10 @@ Rational karp_on_scc(const SccView& scc) {
 /// can overflow (or alias the sentinel) and the inner loops run unchecked;
 /// on dense SCCs (edges·8 ≥ n²) the per-k relaxation additionally collapses
 /// into one axpy_max per reachable node over a dense adjacency built in the
-/// arena.  Past the bound, the original checked edge loop runs unchanged.
-Rational karp_on_component(const std::vector<DigraphEdge>& edges, std::size_t n) {
+/// arena.  Past the bound, the checked edge loop runs.
+Rational karp_on_scc(const SccView& scc) {
+    const std::vector<DigraphEdge>& edges = scc.edges;
+    const std::size_t n = scc.nodes.size();
     robust_account_bytes((n + 1) * n * sizeof(Int));
     Arena& arena = scratch_arena();
     const Arena::Scope scope(arena);
@@ -164,57 +169,222 @@ Rational karp_on_component(const std::vector<DigraphEdge>& edges, std::size_t n)
     return *best;
 }
 
-namespace {
-
-bool scc_has_cycle(const SccView& scc) {
-    if (scc.nodes.size() > 1) {
-        return !scc.edges.empty();
-    }
-    return std::any_of(scc.edges.begin(), scc.edges.end(),
-                       [](const DigraphEdge& e) { return e.from == e.to; });
-}
-
-/// Karp over every cyclic SCC; `parallel` dispatches the per-SCC runs (which
-/// are independent — each owns its local Bellman table) on the global pool.
-CycleMetric karp_over_sccs(const Digraph& graph, bool parallel) {
-    const std::vector<SccView> views = split_into_sccs(graph);
-    std::vector<const SccView*> cyclic;
-    for (const SccView& scc : views) {
-        if (scc_has_cycle(scc)) {
-            cyclic.push_back(&scc);
-        }
-    }
+/// max over the cyclic SCCs of `solve(scc)`; no_cycle when there are none.
+template <typename Solve>
+CycleMetric fold_over_sccs(const Digraph& graph, Solve solve) {
     CycleMetric result;
-    if (cyclic.empty()) {
-        return result;  // no_cycle
-    }
-    std::vector<Rational> lambda(cyclic.size());
-    const auto run_one = [&](std::size_t i) { lambda[i] = karp_on_scc(*cyclic[i]); };
-    if (parallel) {
-        parallel_for(0, cyclic.size(), 1, run_one);
-    } else {
-        for (std::size_t i = 0; i < cyclic.size(); ++i) {
-            run_one(i);
+    for (const SccView& scc : split_into_sccs(graph)) {
+        if (!scc_has_cycle(scc)) {
+            continue;
         }
-    }
-    result.outcome = CycleOutcome::finite;
-    result.value = lambda[0];
-    for (const Rational& l : lambda) {
-        if (l > result.value) {
-            result.value = l;
+        const Rational lambda = solve(scc);
+        if (result.outcome != CycleOutcome::finite || lambda > result.value) {
+            result.outcome = CycleOutcome::finite;
+            result.value = lambda;
         }
     }
     return result;
 }
 
+/// λ = p/q of one policy cycle, in lowest terms, and the node its values
+/// are anchored at.
+struct PolicyCycle {
+    Rational lambda;
+    std::size_t anchor = 0;
+};
+
 }  // namespace
 
-CycleMetric max_cycle_mean_karp(const Digraph& graph) {
-    return karp_over_sccs(graph, /*parallel=*/true);
+/// Policy iteration after Cochet-Terrasson et al.  A policy picks one out
+/// edge per node; following it from any node ends on one policy cycle.
+/// Each round:
+///
+///  1. Value determination.  Every policy cycle C gets λ_C = W(C)/D(C) as
+///     a reduced p/q.  Each node u on a walk into C gets η(u) = λ_C and
+///     value x(u) = (q·w − p·d)(u's policy edge) + x(successor), with
+///     x = 0 at C's smallest node.  Reducing p/q puts every cycle of equal
+///     λ on one scale, so values of equal-η nodes compare as integers.
+///  2. Improvement.  A node whose out-edge reaches a higher η switches to
+///     it.  Only when none does, a node switches to an equal-η edge that
+///     strictly raises its value.
+///
+/// Either switch strictly raises (η, x) at the nodes that switch and
+/// lowers it nowhere, and (η, x) is a function of the policy, so no policy
+/// repeats and the iteration ends.  It ends when no edge improves: every
+/// node then has the maximum η = λ, and every edge satisfies
+/// q·w − p·d + x(v) ≤ x(u), i.e. π = −x is a feasible potential.
+HowardSolution howard_on_component(const std::vector<DigraphEdge>& edges, std::size_t n,
+                                   CycleDivisor divisor) {
+    const bool by_tokens = divisor == CycleDivisor::tokens;
+    // Per node: policy, best_edge, cycle_of, walk, path, order, rank,
+    // value, best_value, and at most one policy cycle.
+    robust_account_bytes(n * (7 * sizeof(std::size_t) + 2 * sizeof(Int) + sizeof(PolicyCycle)));
+    Arena& arena = scratch_arena();
+    const Arena::Scope scope(arena);
+    // η of a node is the policy cycle its walk ends on (`cycle_of`, an
+    // index into `cycles`); `walk` holds the start of the walk that reached
+    // a node; `order` sorts the cycles by λ and `rank` numbers distinct λs.
+    std::size_t* policy = arena.alloc_array<std::size_t>(n);
+    std::size_t* best_edge = arena.alloc_array<std::size_t>(n);
+    std::size_t* cycle_of = arena.alloc_array<std::size_t>(n);
+    std::size_t* walk = arena.alloc_array<std::size_t>(n);
+    std::size_t* path = arena.alloc_array<std::size_t>(n);
+    std::size_t* order = arena.alloc_array<std::size_t>(n);
+    std::size_t* rank = arena.alloc_array<std::size_t>(n);
+    Int* value = arena.alloc_array<Int>(n);
+    Int* best_value = arena.alloc_array<Int>(n);
+    PolicyCycle* cycles = arena.alloc_array<PolicyCycle>(n);
+    std::size_t cycle_count = 0;
+
+    // Initial policy: the heaviest out-edge of every node.
+    std::fill(policy, policy + n, kNone);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        const DigraphEdge& e = edges[i];
+        if (policy[e.from] == kNone || edges[policy[e.from]].weight < e.weight) {
+            policy[e.from] = i;
+        }
+    }
+    if (n == 0 || std::find(policy, policy + n, kNone) != policy + n) {
+        throw ArithmeticError("Howard: a component needs nodes, each with an out-edge");
+    }
+
+    const auto reweight = [&](const DigraphEdge& e, const PolicyCycle& c) {
+        const Int p = c.lambda.num();
+        return checked_sub(checked_mul(c.lambda.den(), e.weight),
+                           by_tokens ? checked_mul(p, e.tokens) : p);
+    };
+
+    while (true) {
+        SDFRED_CHECKPOINT();
+        // --- 1. Value determination. -----------------------------------
+        cycle_count = 0;
+        std::fill(walk, walk + n, kNone);
+        std::fill(cycle_of, cycle_of + n, kNone);
+        for (std::size_t start = 0; start < n; ++start) {
+            if (walk[start] != kNone) {
+                continue;
+            }
+            std::size_t path_length = 0;
+            std::size_t v = start;
+            while (walk[v] == kNone) {
+                walk[v] = start;
+                path[path_length++] = v;
+                v = edges[policy[v]].to;
+            }
+            if (walk[v] == start) {
+                // This walk closed a new policy cycle through v.
+                PolicyCycle cycle;
+                cycle.anchor = v;
+                Int weight = 0;
+                Int divisor_sum = 0;
+                std::size_t u = v;
+                do {
+                    const DigraphEdge& e = edges[policy[u]];
+                    weight = checked_add(weight, e.weight);
+                    divisor_sum = checked_add(divisor_sum, by_tokens ? e.tokens : 1);
+                    cycle.anchor = std::min(cycle.anchor, u);
+                    u = e.to;
+                } while (u != v);
+                if (divisor_sum <= 0) {
+                    throw ArithmeticError("Howard: policy cycle without tokens");
+                }
+                cycle.lambda = Rational(weight, divisor_sum);
+                const std::size_t id = cycle_count++;
+                cycles[id] = cycle;
+                // x(next) = x(u) − (q·w − p·d), walking once round from x(anchor) = 0.
+                u = cycle.anchor;
+                value[u] = 0;
+                do {
+                    const DigraphEdge& e = edges[policy[u]];
+                    cycle_of[u] = id;
+                    if (e.to != cycle.anchor) {
+                        value[e.to] = checked_sub(value[u], reweight(e, cycle));
+                    }
+                    u = e.to;
+                } while (u != cycle.anchor);
+            }
+            // The walk's tail inherits η and value from its successor.
+            for (std::size_t i = path_length; i-- > 0;) {
+                const std::size_t u = path[i];
+                if (cycle_of[u] != kNone) {
+                    continue;  // on the cycle just closed
+                }
+                const DigraphEdge& e = edges[policy[u]];
+                cycle_of[u] = cycle_of[e.to];
+                value[u] = checked_add(reweight(e, cycles[cycle_of[u]]), value[e.to]);
+            }
+        }
+        // Rank the cycles by λ so that η compares as an integer; equal λs
+        // (equal reduced p/q) share a rank.
+        for (std::size_t c = 0; c < cycle_count; ++c) {
+            order[c] = c;
+        }
+        std::sort(order, order + cycle_count, [&](std::size_t a, std::size_t b) {
+            return cycles[a].lambda < cycles[b].lambda;
+        });
+        rank[order[0]] = 0;
+        for (std::size_t i = 1; i < cycle_count; ++i) {
+            const bool tie = cycles[order[i - 1]].lambda == cycles[order[i]].lambda;
+            rank[order[i]] = rank[order[i - 1]] + (tie ? 0 : 1);
+        }
+
+        // --- 2a. Improvement towards a higher η. -----------------------
+        std::copy(policy, policy + n, best_edge);
+        bool improved = false;
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+            const DigraphEdge& e = edges[i];
+            if (rank[cycle_of[e.to]] > rank[cycle_of[edges[best_edge[e.from]].to]]) {
+                best_edge[e.from] = i;
+                improved = true;
+            }
+        }
+        // --- 2b. Else improvement of the value at equal η. -------------
+        if (!improved) {
+            std::copy(value, value + n, best_value);
+            for (std::size_t i = 0; i < edges.size(); ++i) {
+                const DigraphEdge& e = edges[i];
+                if (rank[cycle_of[e.to]] != rank[cycle_of[e.from]]) {
+                    continue;
+                }
+                const Int candidate =
+                    checked_add(reweight(e, cycles[cycle_of[e.from]]), value[e.to]);
+                if (candidate > best_value[e.from]) {
+                    best_value[e.from] = candidate;
+                    best_edge[e.from] = i;
+                    improved = true;
+                }
+            }
+        }
+        if (!improved) {
+            break;
+        }
+        std::swap(policy, best_edge);
+    }
+
+    // Converged: every node sits in the basin of a cycle of the maximum λ.
+    const PolicyCycle& top = cycles[cycle_of[0]];
+    HowardSolution solution;
+    solution.lambda = top.lambda;
+    solution.potential.reserve(n);
+    for (std::size_t v = 0; v < n; ++v) {
+        solution.potential.push_back(checked_sub(0, value[v]));
+    }
+    std::size_t u = top.anchor;
+    do {
+        solution.critical.push_back(policy[u]);
+        u = edges[policy[u]].to;
+    } while (u != top.anchor);
+    return solution;
 }
 
-CycleMetric max_cycle_mean_karp_serial(const Digraph& graph) {
-    return karp_over_sccs(graph, /*parallel=*/false);
+CycleMetric max_cycle_mean(const Digraph& graph) {
+    return fold_over_sccs(graph, [](const SccView& scc) {
+        return howard_on_component(scc.edges, scc.nodes.size(), CycleDivisor::length).lambda;
+    });
+}
+
+CycleMetric max_cycle_mean_karp(const Digraph& graph) {
+    return fold_over_sccs(graph, karp_on_scc);
 }
 
 bool has_zero_token_cycle(const Digraph& graph) {
@@ -227,317 +397,22 @@ bool has_zero_token_cycle(const Digraph& graph) {
     return zero_token.has_cycle();
 }
 
-bool has_positive_cycle(const Digraph& graph, Int num, Int den) {
-    // Longest-path Bellman–Ford from an implicit super-source (all dist 0):
-    // a relaxation still possible after node_count rounds witnesses a
-    // strictly positive cycle under the reweighting den*w - num*d.
-    const std::size_t n = graph.node_count();
-    std::vector<Int> dist(n, 0);
-    std::size_t relaxations = 0;
-    for (std::size_t round = 0; round <= n; ++round) {
-        SDFRED_CHECKPOINT();
-        bool changed = false;
-        for (const auto& e : graph.edges()) {
-            if ((++relaxations & 0xfff) == 0) {
-                SDFRED_CHECKPOINT();
-            }
-            const Int w = checked_sub(checked_mul(den, e.weight), checked_mul(num, e.tokens));
-            const Int candidate = checked_add(dist[e.from], w);
-            if (candidate > dist[e.to]) {
-                dist[e.to] = candidate;
-                changed = true;
-            }
-        }
-        if (!changed) {
-            return false;
-        }
-    }
-    return true;
-}
-
-bool has_zero_cycle(const Digraph& graph, Int num, Int den) {
-    // First compute converged longest-path potentials (no positive cycle may
-    // exist, otherwise the potentials do not converge and we throw).
-    const std::size_t n = graph.node_count();
-    std::vector<Int> dist(n, 0);
-    bool converged = false;
-    for (std::size_t round = 0; round <= n && !converged; ++round) {
-        SDFRED_CHECKPOINT();
-        converged = true;
-        for (const auto& e : graph.edges()) {
-            const Int w = checked_sub(checked_mul(den, e.weight), checked_mul(num, e.tokens));
-            const Int candidate = checked_add(dist[e.from], w);
-            if (candidate > dist[e.to]) {
-                dist[e.to] = candidate;
-                converged = false;
-            }
-        }
-    }
-    if (!converged) {
-        throw ArithmeticError("has_zero_cycle called with a positive cycle present");
-    }
-    // Every edge now satisfies dist[u] + w <= dist[v]; a cycle sums its
-    // slacks to a non-positive value and is zero exactly when all of its
-    // edges are tight, so look for a cycle among tight edges only.
-    Digraph tight(n);
-    for (const auto& e : graph.edges()) {
-        const Int w = checked_sub(checked_mul(den, e.weight), checked_mul(num, e.tokens));
-        if (checked_add(dist[e.from], w) == dist[e.to]) {
-            tight.add_edge(e.from, e.to);
-        }
-    }
-    return tight.has_cycle();
-}
-
-namespace {
-
-/// An exact fraction num/den with den > 0, *not* reduced: the Stern–Brocot
-/// walk relies on the raw mediant components.
-struct Fraction {
-    Int num;
-    Int den;
-};
-
-Fraction mediant_k(const Fraction& l, const Fraction& r, Int k) {
-    return Fraction{checked_add(l.num, checked_mul(k, r.num)),
-                    checked_add(l.den, checked_mul(k, r.den))};
-}
-
-}  // namespace
-
 CycleMetric max_cycle_ratio_exact(const Digraph& graph) {
     for (const auto& e : graph.edges()) {
         if (e.weight < 0 || e.tokens < 0) {
             throw ArithmeticError("max_cycle_ratio_exact requires non-negative weights/tokens");
         }
     }
-    CycleMetric result;
-    if (!graph.has_cycle()) {
-        return result;  // no_cycle
-    }
-    // A cycle through zero-token edges only: infinite ratio when any such
-    // cycle carries weight.  Zero-weight zero-token cycles are degenerate
-    // (0/0); they impose no timing constraint, so drop their edges... they
-    // cannot exist in graphs coming from SDF (a zero-token cycle in an HSDF
-    // deadlocks regardless of weights), so treat every zero-token cycle as
-    // infinite to stay conservative.
+    // Every zero-token cycle counts as infinite, even one of zero weight
+    // (0/0): in an HSDF graph such a cycle deadlocks regardless of weights.
     if (has_zero_token_cycle(graph)) {
+        CycleMetric result;
         result.outcome = CycleOutcome::infinite;
         return result;
     }
-
-    Int total_weight = 0;
-    for (const auto& e : graph.edges()) {
-        total_weight = checked_add(total_weight, e.weight);
-    }
-
-    // Invariant: lambda* in (l, r] as real numbers, with is_above(l) true
-    // and is_above(r) false, where is_above(x) <=> exists cycle ratio > x.
-    Fraction l{-1, 1};
-    Fraction r{checked_add(total_weight, 1), 1};
-
-    while (true) {
-        SDFRED_CHECKPOINT();
-        // lambda* == r exactly when the reweighted graph at r has a zero
-        // cycle (it cannot have a positive one by the invariant).
-        if (has_zero_cycle(graph, r.num, r.den)) {
-            result.outcome = CycleOutcome::finite;
-            result.value = Rational(r.num, r.den);
-            return result;
-        }
-        // Descend the Stern–Brocot tree with galloping: find the largest k
-        // such that the k-fold mediant towards r is still strictly below
-        // lambda*, i.e. is_above(mediant_k) holds.
-        const Fraction m1 = mediant_k(l, r, 1);
-        if (has_positive_cycle(graph, m1.num, m1.den)) {
-            // Gallop left-to-right: l_k = l + k*r while still below lambda*.
-            Int lo = 1;  // known: is_above(mediant_lo)
-            Int hi = 2;
-            while (has_positive_cycle(graph, mediant_k(l, r, hi).num, mediant_k(l, r, hi).den)) {
-                lo = hi;
-                hi = checked_mul(hi, 2);
-            }
-            // Binary search the boundary in (lo, hi).
-            while (lo + 1 < hi) {
-                const Int mid = lo + (hi - lo) / 2;
-                const Fraction m = mediant_k(l, r, mid);
-                if (has_positive_cycle(graph, m.num, m.den)) {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            const Fraction new_l = mediant_k(l, r, lo);
-            const Fraction new_r = mediant_k(l, r, hi);
-            l = new_l;
-            r = new_r;
-        } else {
-            // Gallop right-to-left: r_k = r + k*l while is_above stays false.
-            Int lo = 1;  // known: !is_above(mediant_lo towards l)
-            Int hi = 2;
-            while (!has_positive_cycle(graph, mediant_k(r, l, hi).num, mediant_k(r, l, hi).den)) {
-                lo = hi;
-                hi = checked_mul(hi, 2);
-            }
-            while (lo + 1 < hi) {
-                const Int mid = lo + (hi - lo) / 2;
-                const Fraction m = mediant_k(r, l, mid);
-                if (!has_positive_cycle(graph, m.num, m.den)) {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            const Fraction new_r = mediant_k(r, l, lo);
-            const Fraction new_l = mediant_k(r, l, hi);
-            l = new_l;
-            r = new_r;
-        }
-    }
-}
-
-namespace {
-
-/// Howard policy iteration on a strongly connected graph in which every
-/// node has at least one outgoing edge (guaranteed inside an SCC with a
-/// cycle) — so every policy walk ends on a cycle and all lambdas stay
-/// finite.
-double howard_on_scc(const Digraph& graph) {
-    constexpr double kEps = 1e-9;
-    const std::size_t n = graph.node_count();
-    const auto out = graph.out_edges();
-
-    // Policy: one chosen out-edge per node.
-    std::vector<std::size_t> policy(n, kNone);
-    for (std::size_t v = 0; v < n; ++v) {
-        policy[v] = out[v][0];
-    }
-
-    std::vector<double> lambda(n, -std::numeric_limits<double>::infinity());
-    std::vector<double> value(n, 0.0);
-
-    bool improved = true;
-    std::size_t guard = 0;
-    while (improved) {
-        SDFRED_CHECKPOINT();
-        if (++guard > 10000) {
-            throw ArithmeticError("Howard policy iteration failed to converge");
-        }
-        // --- Value determination on the policy graph. -------------------
-        // Each node with a policy edge has exactly one successor; walking
-        // the successor chain finds the unique cycle the node feeds into.
-        std::fill(lambda.begin(), lambda.end(), -std::numeric_limits<double>::infinity());
-        std::vector<int> state(n, 0);  // 0 unvisited, 1 in progress, 2 done
-        for (std::size_t start = 0; start < n; ++start) {
-            if (state[start] != 0 || policy[start] == kNone) {
-                continue;
-            }
-            // Walk until a visited node or a node without policy edge.
-            std::vector<std::size_t> path;
-            std::size_t v = start;
-            while (v != kNone && state[v] == 0 && policy[v] != kNone) {
-                state[v] = 1;
-                path.push_back(v);
-                v = graph.edge(policy[v]).to;
-            }
-            if (v != kNone && state[v] == 1) {
-                // Found a new cycle starting at v: evaluate its ratio.
-                double cycle_weight = 0;
-                double cycle_tokens = 0;
-                std::size_t u = v;
-                do {
-                    const auto& e = graph.edge(policy[u]);
-                    cycle_weight += static_cast<double>(e.weight);
-                    cycle_tokens += static_cast<double>(e.tokens);
-                    u = e.to;
-                } while (u != v);
-                const double ratio = cycle_weight / cycle_tokens;
-                // Fix values around the cycle: anchor value(v) = 0 and unroll
-                // value(u) = w(u) - ratio*t(u) + value(succ(u)) backwards.
-                std::vector<std::size_t> cycle_nodes;
-                u = v;
-                do {
-                    lambda[u] = ratio;
-                    cycle_nodes.push_back(u);
-                    u = graph.edge(policy[u]).to;
-                } while (u != v);
-                value[v] = 0.0;
-                for (std::size_t i = cycle_nodes.size(); i-- > 1;) {
-                    const std::size_t node = cycle_nodes[i];
-                    const auto& e = graph.edge(policy[node]);
-                    value[node] = static_cast<double>(e.weight) -
-                                  ratio * static_cast<double>(e.tokens) + value[e.to];
-                }
-            }
-            // Pop the path, assigning values for the tail nodes feeding the
-            // cycle (or dangling nodes without policy continuation).
-            for (std::size_t i = path.size(); i-- > 0;) {
-                const std::size_t node = path[i];
-                if (lambda[node] > -std::numeric_limits<double>::infinity()) {
-                    state[node] = 2;
-                    continue;  // on the cycle, already valued
-                }
-                const auto& e = graph.edge(policy[node]);
-                const std::size_t succ = e.to;
-                lambda[node] = lambda[succ];
-                value[node] = static_cast<double>(e.weight) -
-                              lambda[succ] * static_cast<double>(e.tokens) + value[succ];
-                state[node] = 2;
-            }
-        }
-        // --- Policy improvement. ----------------------------------------
-        improved = false;
-        for (const auto& e : graph.edges()) {
-            if (lambda[e.to] == -std::numeric_limits<double>::infinity()) {
-                continue;  // successor leads nowhere
-            }
-            const double cand_lambda = lambda[e.to];
-            const double cand_value = static_cast<double>(e.weight) -
-                                      cand_lambda * static_cast<double>(e.tokens) + value[e.to];
-            const bool better_lambda = cand_lambda > lambda[e.from] + kEps;
-            const bool equal_lambda = std::abs(cand_lambda - lambda[e.from]) <= kEps;
-            if (better_lambda || (equal_lambda && cand_value > value[e.from] + kEps)) {
-                // Locate this edge's index to update the policy.
-                for (const std::size_t ei : out[e.from]) {
-                    const auto& edge = graph.edge(ei);
-                    if (edge.to == e.to && edge.weight == e.weight && edge.tokens == e.tokens) {
-                        policy[e.from] = ei;
-                        break;
-                    }
-                }
-                lambda[e.from] = cand_lambda;
-                value[e.from] = cand_value;
-                improved = true;
-            }
-        }
-    }
-    return *std::max_element(lambda.begin(), lambda.end());
-}
-
-}  // namespace
-
-CycleMetricDouble max_cycle_ratio_howard(const Digraph& graph) {
-    CycleMetricDouble result;
-    if (!graph.has_cycle()) {
-        return result;  // no_cycle
-    }
-    if (has_zero_token_cycle(graph)) {
-        result.outcome = CycleOutcome::infinite;
-        return result;
-    }
-    result.outcome = CycleOutcome::finite;
-    result.value = -std::numeric_limits<double>::infinity();
-    for (const auto& scc : split_into_sccs(graph)) {
-        if (!scc_has_cycle(scc)) {
-            continue;
-        }
-        Digraph local(scc.nodes.size());
-        for (const auto& e : scc.edges) {
-            local.add_edge(e.from, e.to, e.weight, e.tokens);
-        }
-        result.value = std::max(result.value, howard_on_scc(local));
-    }
-    return result;
+    return fold_over_sccs(graph, [](const SccView& scc) {
+        return howard_on_component(scc.edges, scc.nodes.size(), CycleDivisor::tokens).lambda;
+    });
 }
 
 }  // namespace sdf

@@ -4,80 +4,51 @@
 #include <utility>
 
 #include "base/errors.hpp"
-#include "base/thread_pool.hpp"
-#include "robust/budget.hpp"
 
 namespace sdf {
 
 namespace {
 
-/// q·w − p, overflow-checked: the Karp reweighting that turns "mean vs p/q"
+/// q·w − p, overflow-checked: the reweighting that turns "mean vs p/q"
 /// into "sign of a cycle sum".
 Int reweight(Int weight, Int p, Int q) {
     return checked_sub(checked_mul(q, weight), p);
 }
 
-/// One directed cycle among the tight edges (π(u) + w′ = π(v)), as local
-/// edge indices in traversal order; empty when none exists.  Iterative DFS
-/// — certificate SCCs can be as deep as the precedence graph is long.
-std::vector<std::size_t> find_tight_cycle(std::size_t n,
-                                          const std::vector<DigraphEdge>& edges,
-                                          const std::vector<std::size_t>& tight) {
-    std::vector<std::vector<std::size_t>> adj(n);
-    for (const std::size_t l : tight) {
-        adj[edges[l].from].push_back(l);
-    }
-    std::vector<int> state(n, 0);  // 0 white, 1 on stack, 2 done
-    std::vector<std::pair<std::size_t, std::size_t>> stack;  // (node, adj cursor)
-    std::vector<std::size_t> path;  // path[j]: edge from stack[j] to stack[j+1]
-    for (std::size_t start = 0; start < n; ++start) {
-        if (state[start] != 0) {
-            continue;
-        }
-        stack.clear();
-        path.clear();
-        stack.emplace_back(start, 0);
-        state[start] = 1;
-        while (!stack.empty()) {
-            SDFRED_CHECKPOINT();
-            const std::size_t v = stack.back().first;
-            std::size_t& cursor = stack.back().second;
-            if (cursor == adj[v].size()) {
-                state[v] = 2;
-                stack.pop_back();
-                if (!path.empty()) {
-                    path.pop_back();
-                }
-                continue;
-            }
-            const std::size_t l = adj[v][cursor++];
-            const std::size_t to = edges[l].to;
-            if (state[to] == 1) {
-                std::size_t i = 0;
-                while (stack[i].first != to) {
-                    ++i;
-                }
-                std::vector<std::size_t> cycle(path.begin() + static_cast<std::ptrdiff_t>(i),
-                                               path.end());
-                cycle.push_back(l);
-                return cycle;
-            }
-            if (state[to] == 0) {
-                state[to] = 1;
-                path.push_back(l);
-                stack.emplace_back(to, 0);
-            }
+/// True when `potential` is feasible for λ = p/q (π(u) + q·w − p ≤ π(v)
+/// on every edge) and `critical` is a closed walk of reweighted sum zero:
+/// no cycle has a mean above λ, and one attains it.  O(m), checked
+/// arithmetic throughout.
+bool witnesses_hold(const std::vector<DigraphEdge>& edges, const Rational& lambda,
+                    const std::vector<Int>& potential, const std::vector<std::size_t>& critical) {
+    const Int p = lambda.num();
+    const Int q = lambda.den();
+    for (const DigraphEdge& e : edges) {
+        if (checked_add(potential[e.from], reweight(e.weight, p, q)) > potential[e.to]) {
+            return false;
         }
     }
-    return {};
+    if (critical.empty()) {
+        return false;
+    }
+    Int sum = 0;
+    for (std::size_t i = 0; i < critical.size(); ++i) {
+        const DigraphEdge& e = edges[critical[i]];
+        if (e.to != edges[critical[(i + 1) % critical.size()]].from) {
+            return false;
+        }
+        sum = checked_add(sum, reweight(e.weight, p, q));
+    }
+    return sum == 0;
 }
 
 /// Fills lambda/potential/critical/certified of a cert whose
-/// nodes/edges/edge_ids/cyclic are already set.  Runs Karp, then tries to
-/// build the witnesses; any checked-arithmetic overflow or a failed
-/// convergence downgrades to certified=false (λ stays exact).
+/// nodes/edges/edge_ids/cyclic are already set.  Howard's final policy
+/// supplies all three; this only re-checks its witnesses.  An overflow in
+/// the solve propagates (there is no exact λ to keep); an overflow in the
+/// re-check leaves certified=false with Howard's exact λ, so the SCC
+/// re-solves on its next touch.
 void solve_and_certify(McmSccCert& cert) {
-    const std::size_t n = cert.nodes.size();
     cert.potential.clear();
     cert.critical.clear();
     cert.certified = false;
@@ -86,49 +57,21 @@ void solve_and_certify(McmSccCert& cert) {
         cert.certified = true;  // no cycles: nothing to witness, nothing to re-solve
         return;
     }
-    cert.lambda = karp_on_component(cert.edges, n);
-    const Int p = cert.lambda.num();
-    const Int q = cert.lambda.den();
+    HowardSolution solution =
+        howard_on_component(cert.edges, cert.nodes.size(), CycleDivisor::length);
+    cert.lambda = solution.lambda;
+    bool held = false;
     try {
-        // Longest-path potentials under w′ = q·w − p from an implicit
-        // super-source (all-zero start).  No strictly positive cycle exists
-        // (λ is the maximum mean), so the iteration converges within n
-        // rounds; a round still changing afterwards can only mean overflow
-        // territory — bail to the uncertified fallback.
-        std::vector<Int> dist(n, 0);
-        bool converged = false;
-        for (std::size_t round = 0; round <= n && !converged; ++round) {
-            SDFRED_CHECKPOINT();
-            converged = true;
-            for (const DigraphEdge& e : cert.edges) {
-                const Int candidate = checked_add(dist[e.from], reweight(e.weight, p, q));
-                if (candidate > dist[e.to]) {
-                    dist[e.to] = candidate;
-                    converged = false;
-                }
-            }
-        }
-        if (!converged) {
-            return;
-        }
-        std::vector<std::size_t> tight;
-        for (std::size_t l = 0; l < cert.edges.size(); ++l) {
-            const DigraphEdge& e = cert.edges[l];
-            if (checked_add(dist[e.from], reweight(e.weight, p, q)) == dist[e.to]) {
-                tight.push_back(l);
-            }
-        }
-        std::vector<std::size_t> cycle = find_tight_cycle(n, cert.edges, tight);
-        if (cycle.empty()) {
-            return;  // λ not witnessed by a tight cycle: numerically impossible,
-                     // but an uncertified cert is always safe
-        }
-        cert.potential = std::move(dist);
-        cert.critical = std::move(cycle);
-        cert.certified = true;
+        held = witnesses_hold(cert.edges, cert.lambda, solution.potential, solution.critical);
     } catch (const ArithmeticError&) {
-        // leave certified=false
+        return;
     }
+    if (!held) {
+        throw Error("internal: Howard's final policy fails its own certificate");
+    }
+    cert.potential = std::move(solution.potential);
+    cert.critical = std::move(solution.critical);
+    cert.certified = true;
 }
 
 bool component_has_cycle(const McmSccCert& cert) {
@@ -139,7 +82,7 @@ bool component_has_cycle(const McmSccCert& cert) {
                        [](const DigraphEdge& e) { return e.from == e.to; });
 }
 
-/// metric = max λ over cyclic SCCs — the same fold max_cycle_mean_karp
+/// metric = max λ over cyclic SCCs — the same fold max_cycle_mean
 /// performs, so the two entry points agree bit-for-bit.
 CycleMetric fold_metric(const std::vector<std::shared_ptr<const McmSccCert>>& sccs) {
     CycleMetric metric;
@@ -189,12 +132,10 @@ McmCertificate max_cycle_mean_certified(const Digraph& graph) {
         cert.edge_ids.push_back(g);
     }
 
-    // Independent per-SCC solves on the global pool, mirroring
-    // max_cycle_mean_karp's dispatch (each solve owns its Bellman table).
-    parallel_for(0, component_count, 1, [&](std::size_t c) {
-        building[c]->cyclic = component_has_cycle(*building[c]);
-        solve_and_certify(*building[c]);
-    });
+    for (const auto& cert : building) {
+        cert->cyclic = component_has_cycle(*cert);
+        solve_and_certify(*cert);
+    }
 
     result.sccs.assign(building.begin(), building.end());
     result.metric = fold_metric(result.sccs);
@@ -266,8 +207,8 @@ McmCertificate refine_cycle_mean(const McmCertificate& cert,
             }
         }
         if (!witnesses_hold) {
-            // λ may have moved: re-run the byte-identical Karp kernel on
-            // this one component and rebuild its witnesses.
+            // λ may have moved: a cold Howard solve of this one component
+            // rebuilds λ and its witnesses.
             solve_and_certify(*next);
             ++resolved;
         }

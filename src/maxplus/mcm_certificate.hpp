@@ -1,9 +1,9 @@
 // mcm_certificate.hpp — maximum cycle mean with a re-checkable certificate.
 //
-// max_cycle_mean_karp (maxplus/mcm.hpp) answers "what is λ?"; this layer
-// additionally answers "why is it λ?" so the answer can be *refined* after
-// edge-weight edits instead of recomputed.  Per cyclic SCC the certificate
-// stores the classical pair of witnesses for λ = p/q:
+// max_cycle_mean (maxplus/mcm.hpp) answers "what is λ?"; this layer also
+// answers "why is it λ?" so the answer can be *refined* after edge-weight
+// edits instead of recomputed.  Per cyclic SCC the certificate stores the
+// classical pair of witnesses for λ = p/q:
 //
 //   * feasible potentials π: under the reweighting w′ = q·w − p every edge
 //     satisfies π(u) + w′ ≤ π(v), which proves NO cycle has mean > λ
@@ -11,13 +11,16 @@
 //   * one critical cycle: a cycle whose edges are all tight
 //     (π(u) + w′ = π(v)), hence Σw′ = 0, which proves λ IS achieved.
 //
+// Howard's policy iteration (howard_on_component) yields both: π is minus
+// its converged values and the critical cycle is its final policy cycle.
+// Building a certificate only re-checks them, in O(m).
+//
 // After a weight-only delta both witnesses are O(1) per edge to re-check:
 // if every changed edge still has non-positive reweighted slack and the
 // critical cycle still sums to zero, λ is unchanged and the certificate
-// carries over untouched.  Only when a check fails does the dirty SCC
-// re-run Karp (via karp_on_component — the byte-identical kernel the full
-// solve uses); clean SCCs are never revisited.  Weight edits cannot change
-// SCC membership, so the condensation is computed once and reused forever.
+// carries over untouched.  Only when a check fails does the dirty SCC get a
+// cold Howard re-solve; clean SCCs are never revisited.  Weight edits cannot
+// change SCC membership, so the condensation is computed once and reused.
 #pragma once
 
 #include <cstdint>
@@ -60,22 +63,22 @@ struct McmCertificate {
         std::uint32_t local = 0;     ///< local edge index inside that SCC
     };
 
-    CycleMetric metric;  ///< identical to max_cycle_mean_karp on the graph
+    CycleMetric metric;  ///< identical to max_cycle_mean on the graph
     std::vector<std::shared_ptr<const McmSccCert>> sccs;
     std::vector<EdgeHome> edge_home;  ///< per global edge id
 };
 
-/// Karp per cyclic SCC (dispatched on the global thread pool, like
-/// max_cycle_mean_karp) plus certificate construction.  `metric` is
-/// bit-identical to max_cycle_mean_karp(graph).  Certification can fail
-/// per-SCC (checked-arithmetic overflow while reweighting); the λ is still
-/// exact, the SCC just loses its fast-path and always re-solves on touch.
+/// Howard per cyclic SCC plus the certificate check.  `metric` is
+/// bit-identical to max_cycle_mean(graph).  A witness check that overflows
+/// int64 leaves that SCC with certified=false: its λ is still exact, it
+/// just re-solves whenever an edit touches it.  An overflow in the solve
+/// itself throws ArithmeticError.
 McmCertificate max_cycle_mean_certified(const Digraph& graph);
 
 /// Applies weight-only `deltas` to `cert` and returns the updated
 /// certificate.  Cross-SCC edges are absorbed for free; a touched SCC whose
 /// witnesses still hold keeps its λ in O(changed + |critical|); otherwise
-/// only that SCC re-runs Karp.  `rescored`, when non-null, receives the
+/// only that SCC re-runs Howard.  `rescored`, when non-null, receives the
 /// number of SCCs that had to re-solve (the bench's honesty counter).
 /// Deltas must reference edges of the graph `cert` was built from.
 McmCertificate refine_cycle_mean(const McmCertificate& cert,

@@ -38,7 +38,7 @@ std::optional<TransientAnalysis> transient_analysis(const MpMatrix& matrix,
     if (matrix.rows() != matrix.cols()) {
         throw ArithmeticError("transient_analysis requires a square matrix");
     }
-    const CycleMetric metric = max_cycle_mean_karp(matrix.precedence_graph());
+    const CycleMetric metric = max_cycle_mean(matrix.precedence_graph());
     if (!metric.is_finite()) {
         throw ArithmeticError("transient_analysis: matrix has no eigenvalue "
                               "(acyclic precedence graph)");

@@ -1,7 +1,7 @@
 // budget.hpp — resource governance for long-running analyses.
 //
 // Every potentially unbounded kernel in the library (self-timed simulation,
-// the symbolic iteration engines, Karp/MCR, max-plus matrix powers, the
+// the symbolic iteration engines, Howard/Karp, max-plus matrix powers, the
 // classical HSDF expansion) calls SDFRED_CHECKPOINT() inside its hot loop
 // and routes its large allocations through robust_account_bytes().  When a
 // Governor is installed for the current thread (via GovernorScope), a
@@ -18,8 +18,8 @@
 //
 // Thread model: one Governor may be shared by many threads — the pool
 // propagates the caller's governor into its workers (see the context hooks
-// in base/thread_pool.hpp), so a parallel Karp run under a deadline stops
-// on every lane.  All counters are relaxed atomics; the first thread to
+// in base/thread_pool.hpp), so a parallel matrix product under a deadline
+// stops on every lane.  All counters are relaxed atomics; the first thread to
 // observe exhaustion records the cause and every subsequent checkpoint on
 // any thread re-raises it, which drains parallel loops promptly.
 #pragma once

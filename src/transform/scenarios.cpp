@@ -23,7 +23,7 @@ ScenarioAnalysis analyse_scenarios(const std::vector<Scenario>& scenarios) {
                         "' has a different initial-token count");
         }
         const CycleMetric metric =
-            max_cycle_mean_karp(iteration.matrix.precedence_graph());
+            max_cycle_mean(iteration.matrix.precedence_graph());
         if (metric.outcome != CycleOutcome::finite || metric.value.is_zero()) {
             throw Error("scenario '" + scenarios[s].name +
                         "' has no finite positive standalone period");
@@ -52,7 +52,7 @@ ScenarioAnalysis analyse_scenarios(const std::vector<Scenario>& scenarios) {
             }
         }
     }
-    const CycleMetric worst = max_cycle_mean_karp(union_graph);
+    const CycleMetric worst = max_cycle_mean(union_graph);
     if (!worst.is_finite()) {
         throw Error("analyse_scenarios: union precedence graph has no cycle");
     }

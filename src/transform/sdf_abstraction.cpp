@@ -52,7 +52,7 @@ std::vector<Rational> conservative_throughput_bound(const Graph& graph,
     } catch (const DeadlockError&) {
         return bound;  // deadlocked abstraction: trivial all-zero bound
     }
-    const CycleMetric metric = max_cycle_mean_karp(iteration.matrix.precedence_graph());
+    const CycleMetric metric = max_cycle_mean(iteration.matrix.precedence_graph());
     if (metric.outcome != CycleOutcome::finite || metric.value.is_zero()) {
         return bound;  // unbounded abstract throughput: no usable bound
     }

@@ -20,6 +20,7 @@
 #include "csdf/analysis.hpp"
 #include "csdf/simulate.hpp"
 #include "maxplus/mcm.hpp"
+#include "maxplus/mcm_certificate.hpp"
 #include "pass/executor.hpp"
 #include "pass/pipeline.hpp"
 #include "sdf/properties.hpp"
@@ -112,7 +113,7 @@ Verdict run_throughput_routes(const Graph& graph, const OracleLimits& limits) {
     const ThroughputResult symbolic = throughput_symbolic(graph);
     const ThroughputResult classic = throughput_via_classic_hsdf(graph);
     std::vector<Disagreement> disagreements;
-    compare_throughput("symbolic+karp", symbolic, "classic-hsdf+mcr", classic, graph,
+    compare_throughput("symbolic+howard", symbolic, "classic-hsdf+mcr", classic, graph,
                        disagreements);
     // Simulation needs a recurrent state: only meaningful for graphs whose
     // every actor sits on a cycle, and either deadlocked or with a positive
@@ -122,7 +123,7 @@ Verdict run_throughput_routes(const Graph& graph, const OracleLimits& limits) {
     if ((period_positive || expect_deadlock) && every_actor_on_cycle(graph)) {
         const ThroughputResult simulated =
             throughput_simulation(graph, limits.sim_max_events);
-        compare_throughput("symbolic+karp", symbolic, "self-timed simulation", simulated,
+        compare_throughput("symbolic+howard", symbolic, "self-timed simulation", simulated,
                            graph, disagreements);
     }
     return settle(kId, disagreements);
@@ -158,7 +159,7 @@ Verdict run_reduced_hsdf(const Graph& graph, const OracleLimits& limits) {
         if (original.is_finite() && !original.period.is_zero()) {
             if (!converted.is_finite() || converted.period != original.period) {
                 disagreements.push_back(disagree(
-                    "iteration period", "symbolic+karp on original",
+                    "iteration period", "symbolic+howard on original",
                     original.period.to_string(), route,
                     converted.is_finite() ? converted.period.to_string()
                                           : outcome_name(converted.outcome)));
@@ -542,16 +543,36 @@ Verdict run_symbolic_engines(const Graph& graph, const OracleLimits& limits) {
         }
     }
     set_active_isa_tier(entry_tier);
+    // Max-cycle solver: Howard's mean, bare and certified, must reproduce
+    // the Karp reference bit for bit, with a held certificate on every
+    // cyclic SCC; its ratio mode on the classic HSDF must reach the same λ.
     const Digraph precedence = sparse.matrix.precedence_graph();
-    const CycleMetric pooled = max_cycle_mean_karp(precedence);
-    const CycleMetric serial = max_cycle_mean_karp_serial(precedence);
-    if (pooled.outcome != serial.outcome ||
-        (pooled.is_finite() && pooled.value != serial.value)) {
-        disagreements.push_back(
-            disagree("max cycle mean", "pooled karp",
-                     pooled.is_finite() ? pooled.value.to_string() : "no finite cycle",
-                     "serial karp",
-                     serial.is_finite() ? serial.value.to_string() : "no finite cycle"));
+    const CycleMetric karp = max_cycle_mean_karp(precedence);
+    const McmCertificate certified = max_cycle_mean_certified(precedence);
+    const auto metric_text = [](const CycleMetric& m) {
+        return m.is_finite() ? m.value.to_string() : "no finite cycle";
+    };
+    const auto check_metric = [&](const std::string& quantity, const std::string& route,
+                                  const CycleMetric& m) {
+        if (m.outcome != karp.outcome || (m.is_finite() && m.value != karp.value)) {
+            disagreements.push_back(disagree(quantity, route, metric_text(m),
+                                             "karp reference", metric_text(karp)));
+        }
+    };
+    check_metric("max cycle mean", "howard", max_cycle_mean(precedence));
+    check_metric("max cycle mean", "howard certificate", certified.metric);
+    for (const auto& scc : certified.sccs) {
+        if (scc->cyclic && !scc->certified) {
+            disagreements.push_back(disagree("certificate of a cyclic SCC", "howard",
+                                             "not certified", "policy witnesses",
+                                             "certified"));
+            break;
+        }
+    }
+    if (iteration_length(graph) <= limits.max_iteration_length) {
+        const Digraph hsdf = dependency_digraph(to_hsdf_classic(graph).graph);
+        check_metric("max cycle ratio of the classic HSDF", "howard (tokens)",
+                     max_cycle_ratio_exact(hsdf));
     }
     return settle(kId, disagreements);
 }
@@ -573,7 +594,7 @@ Verdict run_self_test(const Graph& graph, const OracleLimits& limits) {
     const Rational buggy_period = symbolic.period + Rational(1);
     std::vector<Disagreement> disagreements;
     if (buggy_period != symbolic.period) {
-        disagreements.push_back(disagree("iteration period", "symbolic+karp",
+        disagreements.push_back(disagree("iteration period", "symbolic+howard",
                                          symbolic.period.to_string(),
                                          "copied oracle (injected off-by-one)",
                                          buggy_period.to_string()));
@@ -1287,10 +1308,11 @@ std::vector<Oracle>& mutable_registry() {
          "makespan of k iterations == max entry of G^k when every actor's completion "
          "lands in a token",
          &run_makespan},
-        {"symbolic-engines", "sparse == dense stamps; all ISA kernels == naive",
+        {"symbolic-engines", "sparse == dense stamps; ISA kernels == naive; Howard == Karp",
          "both stamp engines produce bit-identical matrices; the checked blocked "
-         "kernel and every supported SIMD tier reproduce naive multiply, and pooled "
-         "Karp matches its serial baseline",
+         "kernel and every supported SIMD tier reproduce naive multiply; Howard's "
+         "mean and its certificate match the Karp reference with every cyclic SCC "
+         "certified, and Howard's ratio on the classic HSDF matches too",
          &run_symbolic_engines},
         {"governed-bound", "anytime ladder bounds never exceed the exact throughput",
          "governed_throughput under starvation and injected faults always returns a "

@@ -25,7 +25,7 @@ const char* verdict_status_name(VerdictStatus status);
 /// One quantity two independent routes disagree on, with both values.
 struct Disagreement {
     std::string quantity;     ///< e.g. "iteration period"
-    std::string left_route;   ///< e.g. "symbolic+karp"
+    std::string left_route;   ///< e.g. "symbolic+howard"
     std::string left_value;
     std::string right_route;  ///< e.g. "self-timed simulation"
     std::string right_value;

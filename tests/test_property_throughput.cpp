@@ -1,4 +1,4 @@
-// Property tests: the three throughput routes (symbolic matrix + Karp,
+// Property tests: the three throughput routes (symbolic matrix + Howard,
 // classical HSDF + exact max cycle ratio, self-timed state-space
 // simulation) are independent implementations of the same semantics; on
 // randomly generated consistent live graphs they must agree exactly.

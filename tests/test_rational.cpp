@@ -83,13 +83,6 @@ TEST(Rational, ReciprocalAndPredicates) {
     EXPECT_TRUE(Rational(0).is_zero());
 }
 
-TEST(Rational, MediantStaysBetween) {
-    const Rational m = mediant(Rational(1, 3), Rational(1, 2));
-    EXPECT_EQ(m, Rational(2, 5));
-    EXPECT_LT(Rational(1, 3), m);
-    EXPECT_LT(m, Rational(1, 2));
-}
-
 TEST(Rational, AvoidsIntermediateOverflowViaCrossReduction) {
     // 2^62/3 * 3/2^62 must not overflow even though the cross products do.
     const Int big = Int{1} << 62;

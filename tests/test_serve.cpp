@@ -574,7 +574,7 @@ TEST(ServeWatchdog, OverrunningRequestAnswers429) {
     options.request_deadline = std::chrono::milliseconds(1);
     ServeCore core(options);
     Json request = Json::parse(
-        throughput_line(1, write_text_string(fork_join_graph(192, 3))));
+        throughput_line(1, write_text_string(fork_join_graph(1024, 3))));
     request.set("degrade", Json::string("never"));
     const Json response = Json::parse(core.handle_line(request.dump()));
     EXPECT_FALSE(response.find("ok")->as_boolean());

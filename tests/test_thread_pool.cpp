@@ -1,6 +1,6 @@
 // test_thread_pool — the chunked parallel-for pool under base/.
 //
-// The pool backs the blocked matrix product, the per-SCC Karp dispatch and
+// The pool backs the blocked matrix product, the serve workers and
 // the benchmark sweeps, so these tests pin down the contract those callers
 // rely on: every index runs exactly once, exceptions propagate to the
 // caller after the loop drains, nested loops degrade to inline execution,
