@@ -4,34 +4,6 @@
 
 namespace sdf {
 
-namespace {
-
-std::string json_escape(const std::string& text) {
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    constexpr char hex[] = "0123456789abcdef";
-                    out += "\\u00";
-                    out += hex[(c >> 4) & 0xf];
-                    out += hex[c & 0xf];
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
-}  // namespace
-
 std::string render_text(const LintReport& report, const std::string& file) {
     std::ostringstream out;
     const std::string prefix = file.empty() ? "(graph)" : file;
@@ -46,43 +18,6 @@ std::string render_text(const LintReport& report, const std::string& file) {
             out << "    hint: " << d.hint << "\n";
         }
     }
-    return out.str();
-}
-
-std::string render_json(const LintReport& report, const std::string& file,
-                        const std::string& graph_name) {
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"file\": \"" << json_escape(file) << "\",\n";
-    out << "  \"graph\": \"" << json_escape(graph_name) << "\",\n";
-    out << "  \"diagnostics\": [";
-    for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-        const Diagnostic& d = report.diagnostics[i];
-        out << (i == 0 ? "\n" : ",\n");
-        out << "    {\"rule\": \"" << d.rule << "\", \"severity\": \""
-            << severity_name(d.severity) << "\"";
-        if (d.location.known()) {
-            out << ", \"line\": " << d.location.line << ", \"column\": "
-                << d.location.column;
-        }
-        out << ", \"message\": \"" << json_escape(d.message) << "\"";
-        if (!d.hint.empty()) {
-            out << ", \"hint\": \"" << json_escape(d.hint) << "\"";
-        }
-        out << "}";
-    }
-    out << (report.diagnostics.empty() ? "],\n" : "\n  ],\n");
-    const auto worst = report.worst();
-    out << "  \"summary\": {\"total\": " << report.diagnostics.size()
-        << ", \"worst\": \""
-        << (worst.has_value() ? severity_name(*worst) : "clean")
-        << "\", \"error\": " << report.count(Severity::error) << ", \"warning\": "
-        << report.count(Severity::warning) << ", \"note\": "
-        << report.count(Severity::note) << "},\n";
-    out << "  \"counts\": {\"error\": " << report.count(Severity::error)
-        << ", \"warning\": " << report.count(Severity::warning) << ", \"note\": "
-        << report.count(Severity::note) << "}\n";
-    out << "}\n";
     return out.str();
 }
 

@@ -1,9 +1,9 @@
-// render.hpp — turning a LintReport into text for humans or JSON for tools.
+// render.hpp — turning a LintReport into text for humans.
 //
 // The text form follows the compiler convention "file:line:col: severity:
 // message [RULE]" so editors and CI annotate model files directly.  The
-// JSON form is stable and golden-tested (tests/test_lint.cpp); field order
-// and formatting are part of the contract.
+// JSON form for tools is serve::ops::lint_json (serve/ops.hpp), shared by
+// `lint --format json` and the serve `lint` op.
 #pragma once
 
 #include <string>
@@ -15,11 +15,5 @@ namespace sdf {
 /// Compiler-style rendering, one finding per line, hints indented below.
 /// `file` prefixes every line ("(graph)" when empty).
 std::string render_text(const LintReport& report, const std::string& file);
-
-/// Pretty-printed JSON document: file, graph name, diagnostics array
-/// (rule, severity, message, line/column when known, hint when present)
-/// and per-severity counts.
-std::string render_json(const LintReport& report, const std::string& file,
-                        const std::string& graph_name);
 
 }  // namespace sdf

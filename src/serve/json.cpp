@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace sdf {
 namespace serve {
@@ -164,17 +165,16 @@ void dump_string(const std::string& text, std::string& out) {
 
 }  // namespace
 
-std::string Json::dump() const {
-    std::string out;
+void Json::write(std::string& out, const char* comma, const char* colon) const {
     switch (kind_) {
         case Kind::null:
-            out = "null";
+            out += "null";
             break;
         case Kind::boolean:
-            out = boolean_ ? "true" : "false";
+            out += boolean_ ? "true" : "false";
             break;
         case Kind::integer:
-            out = std::to_string(integer_);
+            out += std::to_string(integer_);
             break;
         case Kind::real: {
             // Shortest representation that round-trips; integral doubles
@@ -192,8 +192,8 @@ std::string Json::dump() const {
                     }
                 }
             }
-            out = buf;
-            if (out.find_first_of(".eE") == std::string::npos) {
+            out += buf;
+            if (std::strpbrk(buf, ".eE") == nullptr) {
                 out += ".0";
             }
             break;
@@ -202,30 +202,59 @@ std::string Json::dump() const {
             dump_string(string_, out);
             break;
         case Kind::array: {
-            out = "[";
+            out += "[";
             for (std::size_t i = 0; i < items_.size(); ++i) {
                 if (i > 0) {
-                    out += ",";
+                    out += comma;
                 }
-                out += items_[i].dump();
+                items_[i].write(out, comma, colon);
             }
             out += "]";
             break;
         }
         case Kind::object: {
-            out = "{";
+            out += "{";
             for (std::size_t i = 0; i < members_.size(); ++i) {
                 if (i > 0) {
-                    out += ",";
+                    out += comma;
                 }
                 dump_string(members_[i].first, out);
-                out += ":";
-                out += members_[i].second.dump();
+                out += colon;
+                members_[i].second.write(out, comma, colon);
             }
             out += "}";
             break;
         }
     }
+}
+
+std::string Json::dump() const {
+    std::string out;
+    write(out, ",", ":");
+    return out;
+}
+
+std::string Json::dump_report() const {
+    std::string out = "{";
+    const char* separator = "\n  ";
+    for (const auto& [key, value] : members()) {
+        out += separator;
+        separator = ",\n  ";
+        dump_string(key, out);
+        out += ": ";
+        if (!value.is_array() || value.items_.empty()) {
+            value.write(out, ", ", ": ");
+            continue;
+        }
+        const char* item_separator = "[\n    ";
+        for (const Json& item : value.items_) {
+            out += item_separator;
+            item_separator = ",\n    ";
+            item.write(out, ", ", ": ");
+        }
+        out += "\n  ]";
+    }
+    out += members_.empty() ? "}\n" : "\n}\n";
     return out;
 }
 

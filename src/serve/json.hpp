@@ -2,12 +2,13 @@
 //
 // `sdfred serve` speaks newline-delimited JSON (docs/SERVE.md), so the
 // serve layer needs both directions: a strict parser for incoming request
-// lines and a deterministic writer for responses.  The library already
-// *renders* JSON in several places (lint --json, analyze --json, the bench
-// reporters); this is the first consumer that must also *read* it, and the
-// container ships no JSON dependency, so the subset lives here: the full
-// RFC 8259 value grammar minus floating-point exotica (numbers parse as
-// int64 when exact, double otherwise; NaN/Infinity are rejected).
+// lines and a deterministic writer for responses.  The CLI's JSON reports
+// (`analyze --json`, `lint --format json`) are built as Json values too
+// (serve/ops.hpp) and rendered by dump_report(), so every JSON string the
+// tools emit goes through one escaper.  No JSON dependency is available,
+// so the subset lives here: the full RFC 8259 value grammar minus
+// floating-point exotica (numbers parse as int64 when exact, double
+// otherwise; NaN/Infinity are rejected).
 //
 // Objects preserve insertion order and dump() renders members in that
 // order with no insignificant whitespace, which is what makes responses
@@ -84,12 +85,24 @@ public:
     /// characters.  parse(dump()) round-trips every value.
     [[nodiscard]] std::string dump() const;
 
+    /// The two-level report layout of the CLI's JSON outputs (`analyze
+    /// --json`, `lint --format json`) for an object: its members one per
+    /// line, the elements of a non-empty array member one per line, and
+    /// every value below that inline with ": " and ", ".  Ends in a newline.
+    /// Strings escape exactly as in dump().  Throws JsonParseError on a
+    /// non-object, like members().
+    [[nodiscard]] std::string dump_report() const;
+
     /// Parses exactly one JSON value spanning the whole input (trailing
     /// whitespace allowed).  Throws JsonParseError with a position-
     /// annotated message on malformed text or duplicate object keys.
     static Json parse(const std::string& text);
 
 private:
+    /// Appends this value inline, `comma` between elements and `colon`
+    /// after keys.
+    void write(std::string& out, const char* comma, const char* colon) const;
+
     Kind kind_ = Kind::null;
     bool boolean_ = false;
     std::int64_t integer_ = 0;

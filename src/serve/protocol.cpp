@@ -20,8 +20,6 @@ const char* op_name(Op op) {
     return "?";
 }
 
-namespace {
-
 Op parse_op(const std::string& name) {
     if (name == "throughput") {
         return Op::throughput;
@@ -54,6 +52,8 @@ Op parse_op(const std::string& name) {
                           "\" (valid: throughput, lint, certify, fuzz-smoke, "
                           "edit, stats, health, ping, shutdown)");
 }
+
+namespace {
 
 std::uint64_t positive_integer(const Json& value, const char* field) {
     if (!value.is_integer() || value.as_integer() <= 0) {

@@ -53,6 +53,9 @@ enum class Op {
 /// Stable wire name ("throughput", "fuzz-smoke", ...).
 const char* op_name(Op op);
 
+/// The op a wire name denotes; throws BadRequestError on unknown names.
+Op parse_op(const std::string& name);
+
 /// One step of an `edit` request's script.  The wire shape is one object
 /// per step, discriminated by "set":
 ///

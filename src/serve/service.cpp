@@ -6,17 +6,10 @@
 #include <sstream>
 #include <utility>
 
-#include "absint/certificate.hpp"
-#include "absint/reachability.hpp"
-#include "absint/token_intervals.hpp"
-#include "analysis/governed.hpp"
 #include "analysis/incremental.hpp"
-#include "analysis/throughput.hpp"
 #include "lint/lint.hpp"
-#include "lint/render.hpp"
 #include "pass/executor.hpp"
-#include "pass/pipeline.hpp"
-#include "sdf/repetition.hpp"
+#include "serve/ops.hpp"
 #include "verify/oracles.hpp"
 
 namespace sdf {
@@ -49,10 +42,6 @@ ExecutionBudget remaining_after(const ExecutionBudget& budget,
     return out;
 }
 
-Json json_opt_int(const std::optional<Int>& value) {
-    return value.has_value() ? Json::integer(*value) : Json::make_null();
-}
-
 std::string read_model_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -61,15 +50,6 @@ std::string read_model_file(const std::string& path) {
     std::ostringstream out;
     out << in.rdbuf();
     return out.str();
-}
-
-const char* outcome_name(ThroughputOutcome outcome) {
-    switch (outcome) {
-        case ThroughputOutcome::deadlocked: return "deadlocked";
-        case ThroughputOutcome::unbounded: return "unbounded";
-        case ThroughputOutcome::finite: return "finite";
-    }
-    return "?";
 }
 
 }  // namespace
@@ -332,16 +312,22 @@ Json ServeCore::run_model_op(const Request& request,
                                        ? request.model
                                        : read_model_file(request.model_path);
     const GraphStore::Interned interned = store_.intern_text(model_text);
-
     std::optional<Pipeline> pipeline;
-    std::string pipeline_canonical;
     if (!request.pipeline.empty()) {
         pipeline = parse_pipeline(request.pipeline);
-        pipeline_canonical = pipeline->to_string();
     }
-    const std::string op_key =
-        std::string(op_name(request.op)) + "|" + pipeline_canonical;
+    bool cacheable = true;
+    return cached_op(request, request.op, interned, pipeline, token, cache_state,
+                     exit_code, cacheable);
+}
 
+Json ServeCore::cached_op(const Request& request, Op op,
+                          const GraphStore::Interned& interned,
+                          const std::optional<Pipeline>& pipeline,
+                          const CancellationToken& token, std::string& cache_state,
+                          int& exit_code, bool& cacheable) {
+    const std::string op_key = std::string(op_name(op)) + "|" +
+                               (pipeline ? pipeline->to_string() : std::string());
     if (request.no_cache) {
         cache_state = "bypass";
     } else if (const auto cached = store_.find_result(interned.key, op_key)) {
@@ -352,36 +338,16 @@ Json ServeCore::run_model_op(const Request& request,
         cache_state = "miss";
     }
 
-    Graph graph = interned.graph;
-    ResourceUsage pipeline_used;
+    Json result;
     if (pipeline) {
         ExecutorOptions executor_options;
         executor_options.budget = effective_budget(request);
         executor_options.token = token;
         const PipelineRun run =
-            PipelineExecutor(std::move(executor_options)).run(*pipeline, std::move(graph));
-        graph = run.graph;
-        pipeline_used = run.total;
-    }
-
-    bool cacheable = true;
-    Json result;
-    switch (request.op) {
-        case Op::throughput:
-            result = op_throughput(request, token, graph, pipeline_used,
-                                   exit_code, cacheable);
-            break;
-        case Op::lint:
-            result = op_lint(request, token, graph, exit_code, cacheable);
-            break;
-        case Op::certify:
-            result = op_certify(request, token, graph, exit_code);
-            break;
-        case Op::fuzz_smoke:
-            result = op_fuzz_smoke(request, graph, exit_code, cacheable);
-            break;
-        default:
-            throw BadRequestError("op does not analyse a model");
+            PipelineExecutor(std::move(executor_options)).run(*pipeline, interned.graph);
+        result = run_op(request, op, token, run.graph, run.total, exit_code, cacheable);
+    } else {
+        result = run_op(request, op, token, interned.graph, {}, exit_code, cacheable);
     }
     if (!request.no_cache && cacheable && exit_code <= 1) {
         store_.store_result(interned.key, op_key, exit_code, result.dump());
@@ -389,171 +355,60 @@ Json ServeCore::run_model_op(const Request& request,
     return result;
 }
 
-Json ServeCore::op_throughput(const Request& request,
-                              const CancellationToken& token,
-                              const Graph& graph,
-                              const ResourceUsage& pipeline_used, int& exit_code,
-                              bool& cacheable) const {
+Json ServeCore::run_op(const Request& request, Op op, const CancellationToken& token,
+                       const Graph& graph, const ResourceUsage& pipeline_used,
+                       int& exit_code, bool& cacheable) const {
     const ExecutionBudget budget = effective_budget(request);
-    GovernedStatus status = GovernedStatus::exact;
-    std::string method = "symbolic-exact";
-    BudgetCause cause = BudgetCause::none;
-    ThroughputResult throughput;
-    if (budget.unlimited()) {
-        // The ungoverned fast path reads the graph's shared AnalysisManager,
-        // so the result computed here warms the store entry for every later
-        // request on the same model.
-        throughput = *cached_throughput(graph);
-    } else {
-        GovernOptions govern;
-        govern.budget = remaining_after(budget, pipeline_used);
-        govern.token = token;
-        govern.degrade =
-            request.degrade.value_or(true) ? DegradeMode::auto_ : DegradeMode::never;
-        const Governed<ThroughputResult> governed =
-            governed_throughput(graph, govern);
-        if (!governed.ok()) {
-            throw BudgetExceeded(
-                governed.cause == BudgetCause::none ? BudgetCause::steps
-                                                    : governed.cause,
-                governed.detail.empty()
-                    ? "no result obtainable within the budget"
-                    : governed.detail);
+    switch (op) {
+        case Op::throughput: {
+            GovernOptions govern;
+            govern.budget = remaining_after(budget, pipeline_used);
+            govern.token = token;
+            govern.degrade = request.degrade.value_or(true) ? DegradeMode::auto_
+                                                            : DegradeMode::never;
+            ops::ThroughputReport report = ops::throughput(graph, govern);
+            const Governed<ThroughputResult>& governed = report.governed;
+            if (!governed.ok()) {
+                throw BudgetExceeded(
+                    governed.cause == BudgetCause::none ? BudgetCause::steps
+                                                        : governed.cause,
+                    governed.detail.empty() ? "no result obtainable within the budget"
+                                            : governed.detail);
+            }
+            exit_code = report.exit_code;
+            cacheable = report.cacheable;
+            return std::move(report.json);
         }
-        status = governed.status;
-        method = governed.method;
-        cause = governed.cause;
-        throughput = *governed.value;
-    }
-    // Degraded answers depend on where the budget tripped; only exact ones
-    // are replayable and therefore cacheable.
-    cacheable = status == GovernedStatus::exact;
-    exit_code = 0;
-
-    Json result = Json::object();
-    result.set("status", Json::string(governed_status_name(status)));
-    result.set("method", Json::string(method));
-    if (cause != BudgetCause::none) {
-        result.set("cause", Json::string(budget_cause_name(cause)));
-    }
-    result.set("outcome", Json::string(outcome_name(throughput.outcome)));
-    if (throughput.outcome == ThroughputOutcome::finite) {
-        result.set("period", Json::string(throughput.period.to_string()));
-    }
-    Json actors = Json::array();
-    if (throughput.outcome != ThroughputOutcome::unbounded) {
-        for (ActorId a = 0; a < graph.actor_count(); ++a) {
-            Json entry = Json::object();
-            entry.set("actor", Json::string(graph.actor(a).name));
-            entry.set("throughput", Json::string(throughput.per_actor[a].to_string()));
-            actors.push_back(std::move(entry));
+        case Op::lint: {
+            std::optional<Governor> governor;
+            std::optional<GovernorScope> scope;
+            if (!budget.unlimited()) {
+                governor.emplace(budget, token);
+                scope.emplace(*governor);
+                // A rule that trips the budget reports itself as a finding
+                // instead of throwing (the linter's exception-free contract),
+                // which makes governed lint runs budget-dependent — never
+                // cache those.
+                cacheable = false;
+            }
+            // No SourceMap and no file name: the report must be a pure
+            // function of the canonical graph so cached replays are
+            // bit-identical regardless of whether the model arrived inline
+            // or by path.
+            const LintReport report = lint_graph(graph);
+            exit_code = report.has_at_least(Severity::error) ? 1 : 0;
+            return ops::lint_json(report, "", graph.name());
         }
-    }
-    result.set("actors", std::move(actors));
-    return result;
-}
-
-Json ServeCore::op_lint(const Request& request, const CancellationToken& token,
-                        const Graph& graph, int& exit_code,
-                        bool& cacheable) const {
-    const ExecutionBudget budget = effective_budget(request);
-    std::optional<Governor> governor;
-    std::optional<GovernorScope> scope;
-    if (!budget.unlimited()) {
-        governor.emplace(budget, token);
-        scope.emplace(*governor);
-        // A rule that trips the budget reports itself as a finding instead
-        // of throwing (the linter's exception-free contract), which makes
-        // governed lint runs budget-dependent — never cache those.
-        cacheable = false;
-    }
-    // No SourceMap and no file name: the report must be a pure function of
-    // the canonical graph so cached replays are bit-identical regardless of
-    // whether the model arrived inline or by path.
-    const LintReport report = lint_graph(graph);
-    exit_code = report.has_at_least(Severity::error) ? 1 : 0;
-    return Json::parse(render_json(report, "", graph.name()));
-}
-
-Json ServeCore::op_certify(const Request& request,
-                           const CancellationToken& token, const Graph& graph,
-                           int& exit_code) const {
-    const ExecutionBudget budget = effective_budget(request);
-    std::optional<Governor> governor;
-    std::optional<GovernorScope> scope;
-    if (!budget.unlimited()) {
-        governor.emplace(budget, token);
-        scope.emplace(*governor);
-    }
-    // Mirrors `sdfred_cli analyze --certify --json` (tools/sdfred_cli.cpp):
-    // same members, same verdicts, same exit-1 conditions.
-    const absint::TokenIntervals intervals = absint::token_intervals(graph);
-    const absint::Reachability reach = absint::compute_reachability(graph);
-    const absint::CertifiedBounds certified =
-        absint::certify_buffer_bounds(graph, intervals);
-    const absint::CertificateCheck check =
-        absint::verify_certificate(graph, certified);
-    std::optional<std::vector<Int>> q;
-    std::string inconsistency;
-    if (graph.actor_count() > 0) {
-        try {
-            q = repetition_vector(graph);
-        } catch (const Error& e) {
-            inconsistency = e.what();
+        case Op::certify: {
+            ops::CertifyReport report = ops::certify(graph, budget, token, true);
+            exit_code = report.exit_code;
+            return std::move(report.json);
         }
+        case Op::fuzz_smoke:
+            return op_fuzz_smoke(request, graph, exit_code, cacheable);
+        default:
+            throw BadRequestError("op does not analyse a model");
     }
-    bool dead_actor = false;
-    bool guaranteed_deadlock = false;
-    for (ActorId a = 0; a < graph.actor_count(); ++a) {
-        dead_actor = dead_actor || reach.never_fires(a);
-        guaranteed_deadlock =
-            guaranteed_deadlock || (q && reach.max_firings[a].has_value() &&
-                                    *reach.max_firings[a] < (*q)[a]);
-    }
-
-    Json result = Json::object();
-    result.set("graph", Json::string(graph.name()));
-    result.set("consistent", Json::boolean(inconsistency.empty()));
-    result.set("solver_steps", Json::integer(static_cast<std::int64_t>(
-                                   intervals.solver_steps)));
-    Json channels = Json::array();
-    for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-        const Channel& channel = graph.channel(c);
-        Json entry = Json::object();
-        entry.set("id", Json::integer(static_cast<std::int64_t>(c)));
-        entry.set("src", Json::string(graph.actor(channel.src).name));
-        entry.set("dst", Json::string(graph.actor(channel.dst).name));
-        entry.set("lo", Json::integer(intervals.channels[c].lo));
-        entry.set("hi", json_opt_int(intervals.channels[c].hi));
-        entry.set("cap", json_opt_int(intervals.caps[c]));
-        entry.set("certified_bound", json_opt_int(certified.certificates[c].bound));
-        channels.push_back(std::move(entry));
-    }
-    result.set("channels", std::move(channels));
-    Json actors = Json::array();
-    for (ActorId a = 0; a < graph.actor_count(); ++a) {
-        Json entry = Json::object();
-        entry.set("name", Json::string(graph.actor(a).name));
-        entry.set("possibly_enabled", Json::boolean(intervals.possibly_enabled[a]));
-        entry.set("max_firings", json_opt_int(reach.max_firings[a]));
-        actors.push_back(std::move(entry));
-    }
-    result.set("actors", std::move(actors));
-    result.set("invariants", Json::integer(static_cast<std::int64_t>(
-                                 intervals.invariants.size())));
-    Json certificate = Json::object();
-    certificate.set("verified", Json::boolean(check.ok));
-    certificate.set("reason", Json::string(check.reason));
-    result.set("certificate", std::move(certificate));
-    Json verdicts = Json::object();
-    verdicts.set("dead_actor", Json::boolean(dead_actor));
-    verdicts.set("guaranteed_deadlock", Json::boolean(guaranteed_deadlock));
-    result.set("verdicts", std::move(verdicts));
-
-    const bool broken =
-        !check.ok || !inconsistency.empty() || dead_actor || guaranteed_deadlock;
-    exit_code = broken ? 1 : 0;
-    return result;
 }
 
 Json ServeCore::op_fuzz_smoke(const Request& request, const Graph& graph,
@@ -714,43 +569,17 @@ Json ServeCore::op_edit(const Request& request, const CancellationToken& token,
     exit_code = 0;
     bool cacheable = true;
     if (!request.then_op.empty()) {
-        // Run the follow-on analysis on the child THROUGH the result cache,
-        // under the same key a direct request on the child model would use —
-        // so the inline answer here warms that future request and vice
+        // Run the follow-on analysis on the child through the same cached
+        // route as a direct request on the child model, under the same key
+        // — so the inline answer here warms that future request and vice
         // versa.
-        const std::string then_key = request.then_op + "|";
-        Json then_result;
-        int then_exit = 0;
-        bool served = false;
-        if (!request.no_cache) {
-            if (const auto cached = store_.find_result(interned.key, then_key)) {
-                then_result = Json::parse(cached->second);
-                then_exit = cached->first;
-                served = true;
-            }
-        }
-        if (!served) {
-            bool then_cacheable = true;
-            if (request.then_op == "throughput") {
-                then_result = op_throughput(request, token, interned.graph, {},
-                                            then_exit, then_cacheable);
-            } else if (request.then_op == "lint") {
-                then_result =
-                    op_lint(request, token, interned.graph, then_exit, then_cacheable);
-            } else {
-                then_result = op_certify(request, token, interned.graph, then_exit);
-            }
-            if (!request.no_cache && then_cacheable && then_exit <= 1) {
-                store_.store_result(interned.key, then_key, then_exit,
-                                    then_result.dump());
-            }
-            cacheable = then_cacheable;
-        }
+        std::string then_cache_state;
         Json then = Json::object();
         then.set("op", Json::string(request.then_op));
-        then.set("result", std::move(then_result));
+        then.set("result", cached_op(request, parse_op(request.then_op), interned,
+                                     std::nullopt, token, then_cache_state,
+                                     exit_code, cacheable));
         result.set("then", std::move(then));
-        exit_code = then_exit;
     }
     if (!request.no_cache && cacheable && exit_code <= 1) {
         store_.store_result(parent.key, op_key, exit_code, result.dump());

@@ -50,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "pass/pipeline.hpp"
 #include "robust/budget.hpp"
 #include "serve/graph_store.hpp"
 #include "serve/persist.hpp"
@@ -188,13 +189,18 @@ private:
     Json handle(const Json& request_json, const CancellationToken& token);
     Json run_model_op(const Request& request, const CancellationToken& token,
                       std::string& cache_state, int& exit_code);
-    Json op_throughput(const Request& request, const CancellationToken& token,
-                       const Graph& graph, const ResourceUsage& pipeline_used,
-                       int& exit_code, bool& cacheable) const;
-    Json op_lint(const Request& request, const CancellationToken& token,
-                 const Graph& graph, int& exit_code, bool& cacheable) const;
-    Json op_certify(const Request& request, const CancellationToken& token,
-                    const Graph& graph, int& exit_code) const;
+    /// Answers `op` on `interned` (after `pipeline`, when given) through
+    /// the result cache under the key "op|canonical pipeline".  Direct
+    /// requests and an edit's `then:` op both come through here.
+    /// `cacheable` is cleared when the answer depends on the budget.
+    Json cached_op(const Request& request, Op op, const GraphStore::Interned& interned,
+                   const std::optional<Pipeline>& pipeline,
+                   const CancellationToken& token, std::string& cache_state,
+                   int& exit_code, bool& cacheable);
+    /// Runs one analysis op on `graph` (serve/ops.hpp has the shared ones).
+    Json run_op(const Request& request, Op op, const CancellationToken& token,
+                const Graph& graph, const ResourceUsage& pipeline_used,
+                int& exit_code, bool& cacheable) const;
     Json op_fuzz_smoke(const Request& request, const Graph& graph,
                        int& exit_code, bool& cacheable) const;
     Json op_edit(const Request& request, const CancellationToken& token,

@@ -3,17 +3,22 @@
 // the build system (SDFRED_CLI_PATH).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "csdf/graph.hpp"
 #include "gen/benchmarks.hpp"
 #include "io/csdf_xml.hpp"
 #include "io/text.hpp"
 #include "io/xml.hpp"
+#include "serve/json.hpp"
+#include "serve/service.hpp"
 #include "transform/compare.hpp"
 
 namespace sdf {
@@ -108,6 +113,18 @@ TEST_F(CliTest, ConvertToDotAndXml) {
     const std::string xml = dir_ + "/g2.xml";
     EXPECT_EQ(run_cli("convert --to xml " + dir_ + "/h263.sdf -o " + xml).exit_code, 0);
     EXPECT_TRUE(structurally_equal(read_xml_file(xml), h263_decoder()));
+
+    // An explicit --to wins over the -o extension.
+    const std::string xml_as_txt = dir_ + "/as_xml.txt";
+    EXPECT_EQ(run_cli("convert --to xml " + dir_ + "/h263.sdf -o " + xml_as_txt).exit_code,
+              0);
+    EXPECT_TRUE(structurally_equal(read_xml_file(xml_as_txt), h263_decoder()));
+    const std::string dot_as_xml = dir_ + "/as_dot.xml";
+    EXPECT_EQ(run_cli("convert --to dot " + dir_ + "/h263.sdf -o " + dot_as_xml).exit_code,
+              0);
+    std::ifstream dot_in(dot_as_xml);
+    std::getline(dot_in, first_line);
+    EXPECT_NE(first_line.find("digraph"), std::string::npos) << first_line;
 }
 
 TEST_F(CliTest, UnfoldWritesLargerGraph) {
@@ -265,6 +282,87 @@ TEST_F(CliTest, AnalyzeCertifyJsonIsMachineReadable) {
     // Deterministic: identical runs render byte-identical JSON.
     EXPECT_EQ(r.output,
               run_cli("analyze " + dir_ + "/h263.sdf --certify --json").output);
+}
+
+TEST_F(CliTest, AnalyzeJsonEscapesControlCharactersInNames) {
+    // Text-format names are whitespace-delimited tokens, so a control byte
+    // can sit inside one.  The JSON report must stay valid JSON and carry
+    // the names back exactly.
+    const std::string ctl = "\x01";
+    const std::string graph_name = "g" + ctl + "x";
+    const std::string actor = "a" + ctl + "b";
+    const std::string path = dir_ + "/control.sdf";
+    std::ofstream(path) << "graph " << graph_name << "\nactor " << actor
+                        << " 1\nactor c 2\nchannel " << actor << " c 1 1 0\n"
+                        << "channel c " << actor << " 1 1 1\n";
+    const CliResult r = run_cli("analyze " + path + " --certify --json");
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    const serve::Json report = serve::Json::parse(r.output);
+    EXPECT_EQ(report.find("graph")->as_string(), graph_name);
+    const std::vector<serve::Json>& channels = report.find("channels")->items();
+    ASSERT_EQ(channels.size(), 2u);
+    EXPECT_EQ(channels[0].find("src")->as_string(), actor);
+    EXPECT_EQ(channels[0].find("dst")->as_string(), "c");
+    EXPECT_EQ(channels[1].find("dst")->as_string(), actor);
+    EXPECT_EQ(report.find("actors")->items()[0].find("name")->as_string(), actor);
+}
+
+TEST_F(CliTest, CliAndServeAgreeOnEveryShippedModel) {
+    // Both front ends call the same ops (serve/ops.hpp): serve `certify`
+    // equals `analyze --certify --json` member for member with the same
+    // exit code, and serve `throughput` reports the period `analyze` prints.
+    std::vector<std::string> models;
+    for (const std::string& dir :
+         {std::string(SDFRED_DATA_DIR), std::string(SDFRED_DATA_DIR) + "/bad"}) {
+        for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+            const std::string ext = entry.path().extension().string();
+            if (entry.is_regular_file() && (ext == ".xml" || ext == ".sdf")) {
+                models.push_back(entry.path().string());
+            }
+        }
+    }
+    std::sort(models.begin(), models.end());
+    EXPECT_EQ(models.size(), 14u);  // 10 shipped models, 4 broken ones
+
+    serve::ServeCore core;
+    const auto ask = [&core](const char* op, const std::string& path) {
+        serve::Json request = serve::Json::object();
+        request.set("op", serve::Json::string(op));
+        request.set("model_path", serve::Json::string(path));
+        return serve::Json::parse(core.handle_line(request.dump()));
+    };
+    for (const std::string& path : models) {
+        SCOPED_TRACE(path);
+        const serve::Json certify = ask("certify", path);
+        const CliResult cli = run_cli("analyze " + path + " --certify --json");
+        ASSERT_LE(cli.exit_code, 1) << cli.output;
+        EXPECT_EQ(certify.find("exit")->as_integer(), cli.exit_code);
+        ASSERT_NE(certify.find("result"), nullptr) << certify.dump();
+        const serve::Json report = serve::Json::parse(cli.output);
+        const auto& served = certify.find("result")->members();
+        const auto& printed = report.members();
+        ASSERT_EQ(served.size(), printed.size());
+        for (std::size_t i = 0; i < served.size(); ++i) {
+            EXPECT_EQ(served[i].first, printed[i].first);
+            EXPECT_EQ(served[i].second.dump(), printed[i].second.dump()) << served[i].first;
+        }
+
+        const serve::Json throughput = ask("throughput", path);
+        const CliResult analyze = run_cli("analyze " + path);
+        EXPECT_EQ(throughput.find("exit")->as_integer(), analyze.exit_code);
+        const serve::Json* result = throughput.find("result");
+        const serve::Json* period = result != nullptr ? result->find("period") : nullptr;
+        const std::string label = "iteration period: ";
+        const std::size_t at = analyze.output.find(label);
+        if (period == nullptr) {
+            EXPECT_EQ(at, std::string::npos) << analyze.output;
+            continue;
+        }
+        ASSERT_NE(at, std::string::npos) << analyze.output;
+        const std::size_t from = at + label.size();
+        EXPECT_EQ(analyze.output.substr(from, analyze.output.find('\n', from) - from),
+                  period->as_string());
+    }
 }
 
 TEST_F(CliTest, AnalyzeCertifyFlagsProvenlyBrokenModels) {

@@ -16,6 +16,7 @@
 #include "lint/lint.hpp"
 #include "lint/registry.hpp"
 #include "lint/render.hpp"
+#include "serve/ops.hpp"
 
 namespace sdf {
 namespace {
@@ -176,7 +177,7 @@ TEST(LintRender, TextUsesCompilerConvention) {
 }
 
 TEST(LintRender, EmptyReportRendersEmptyJson) {
-    const std::string json = render_json(LintReport{}, "f.sdf", "g");
+    const std::string json = serve::ops::lint_json(LintReport{}, "f.sdf", "g").dump_report();
     EXPECT_NE(json.find("\"diagnostics\": []"), std::string::npos) << json;
     EXPECT_NE(json.find("\"counts\": {\"error\": 0, \"warning\": 0, \"note\": 0}"),
               std::string::npos)
@@ -199,7 +200,8 @@ TEST_P(LintGolden, JsonDiagnosticsMatchGoldenFile) {
     }
     const LintReport report = lint_graph(graph, &map);
     // Goldens store the basename so the test is location-independent.
-    const std::string json = render_json(report, name, graph.name());
+    const std::string json =
+        serve::ops::lint_json(report, name, graph.name()).dump_report();
     const std::string golden =
         slurp(kDataDir + "/bad/" + name.substr(0, name.rfind('.')) + ".expected.json");
     EXPECT_EQ(json, golden);

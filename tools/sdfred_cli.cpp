@@ -45,10 +45,12 @@
 //                                         result cache (docs/SERVE.md)
 //
 // Graphs load from SDF3-style XML (*.xml) or the plain-text format
-// (anything else); CSDF commands take csdf-typed XML.  -o picks the output
-// format by extension (.xml, .dot, anything else: text), stdout gets the
-// text format.  --lint runs the linter as a guard before any other
-// command and aborts on errors; --version prints the build id.
+// (anything else); CSDF commands take csdf-typed XML.  convert --to
+// text|xml|dot writes that format, to -o OUT or stdout.  Everywhere else
+// -o picks the output format by extension (.xml, .dot, anything else:
+// text) and stdout gets the text format.  --lint runs the linter as a
+// guard before any other command and aborts on errors; --version prints
+// the build id.
 //
 // Resource governance (docs/ROBUSTNESS.md): --timeout-ms N, --max-steps N
 // and --max-memory-mb N put the command under an ExecutionBudget.  analyze
@@ -73,11 +75,7 @@
 #define SDFRED_VERSION "unknown"
 #endif
 
-#include "absint/certificate.hpp"
-#include "absint/reachability.hpp"
-#include "absint/token_intervals.hpp"
 #include "analysis/deadlock.hpp"
-#include "analysis/governed.hpp"
 #include "analysis/latency.hpp"
 #include "analysis/liveness.hpp"
 #include "analysis/pareto.hpp"
@@ -105,6 +103,7 @@
 #include "robust/fault.hpp"
 #include "sdf/properties.hpp"
 #include "sdf/repetition.hpp"
+#include "serve/ops.hpp"
 #include "serve/oracle.hpp"
 #include "serve/server.hpp"
 #include "verify/fuzz.hpp"
@@ -135,14 +134,29 @@ Graph load(const std::string& path, SourceMap* locations = nullptr) {
                                     : read_text_file(path, locations);
 }
 
-void save(const Graph& graph, const std::optional<std::string>& out) {
+/// Writes `graph` to `out`, or to stdout when absent, as `format` (text,
+/// xml or dot).  An empty format picks by the extension of `out` (.xml,
+/// .dot, anything else: text); stdout then gets text.
+void save(const Graph& graph, const std::optional<std::string>& out,
+          std::string format = "") {
+    if (format.empty()) {
+        format = out && has_suffix(*out, ".xml")   ? "xml"
+                 : out && has_suffix(*out, ".dot") ? "dot"
+                                                   : "text";
+    }
     if (!out) {
-        write_text(std::cout, graph);
+        if (format == "xml") {
+            std::cout << write_xml_string(graph);
+        } else if (format == "dot") {
+            std::cout << write_dot_string(graph);
+        } else {
+            write_text(std::cout, graph);
+        }
         return;
     }
-    if (has_suffix(*out, ".xml")) {
+    if (format == "xml") {
         write_xml_file(*out, graph);
-    } else if (has_suffix(*out, ".dot")) {
+    } else if (format == "dot") {
         write_dot_file(*out, graph);
     } else {
         write_text_file(*out, graph);
@@ -263,66 +277,44 @@ int cmd_info(const Graph& g) {
     return 0;
 }
 
-int cmd_analyze(const Graph& g) {
+/// `analyze`: the repetition vector, then the throughput op.  Under budget
+/// flags (`governed`) it also reports the analysis status and resources:
+/// exact when the budget fits, a certified lower bound when degraded, exit
+/// code 4 when no result was obtainable.
+int cmd_analyze(const Graph& g, const GovernOptions& options, bool governed) {
     const std::vector<Int> q = repetition_vector(g);
     std::cout << "repetition vector:\n";
     for (ActorId a = 0; a < g.actor_count(); ++a) {
         std::cout << "  " << g.actor(a).name << ": " << q[a] << "\n";
     }
-    // Served from the graph's AnalysisManager: a preceding consumer of the
-    // symbolic route (the --lint guard, a wrapping tool) pays nothing twice.
-    const auto cached = cached_throughput(g);
-    const ThroughputResult& t = *cached;
-    switch (t.outcome) {
-        case ThroughputOutcome::deadlocked:
-            std::cout << "throughput: graph deadlocks (0)\n";
-            return 0;
-        case ThroughputOutcome::unbounded:
-            std::cout << "throughput: unbounded (no constraining cycle)\n";
-            return 0;
-        case ThroughputOutcome::finite:
-            break;
-    }
-    std::cout << "iteration period: " << t.period.to_string() << "\n";
-    std::cout << "throughput per actor (firings/time):\n";
-    for (ActorId a = 0; a < g.actor_count(); ++a) {
-        std::cout << "  " << g.actor(a).name << ": " << t.per_actor[a].to_string()
-                  << "\n";
-    }
-    std::cout << "iteration makespan: " << iteration_makespan(g) << "\n";
-    return 0;
-}
-
-/// `analyze` under a resource budget: exact when it fits, a certified
-/// lower bound when degraded, exit code 4 when aborted.
-int cmd_analyze_governed(const Graph& g, const GovernOptions& options) {
-    const std::vector<Int> q = repetition_vector(g);
-    std::cout << "repetition vector:\n";
-    for (ActorId a = 0; a < g.actor_count(); ++a) {
-        std::cout << "  " << g.actor(a).name << ": " << q[a] << "\n";
-    }
-    const Governed<ThroughputResult> governed = governed_throughput(g, options);
-    std::cout << "analysis status: " << governed_status_name(governed.status);
-    if (governed.ok()) {
-        std::cout << " (method: " << governed.method << ")";
-    }
-    std::cout << "\n";
-    if (governed.cause != BudgetCause::none) {
-        std::cout << "budget trip: " << budget_cause_name(governed.cause);
-        if (!governed.detail.empty()) {
-            std::cout << " — " << governed.detail;
+    // Unbudgeted, this is served from the graph's AnalysisManager: a
+    // preceding consumer of the symbolic route (the --lint guard, a
+    // wrapping tool) pays nothing twice.
+    const serve::ops::ThroughputReport report = serve::ops::throughput(g, options);
+    const Governed<ThroughputResult>& result = report.governed;
+    if (governed) {
+        std::cout << "analysis status: " << governed_status_name(result.status);
+        if (result.ok()) {
+            std::cout << " (method: " << result.method << ")";
         }
         std::cout << "\n";
+        if (result.cause != BudgetCause::none) {
+            std::cout << "budget trip: " << budget_cause_name(result.cause);
+            if (!result.detail.empty()) {
+                std::cout << " — " << result.detail;
+            }
+            std::cout << "\n";
+        }
+        std::cout << "resources: " << result.used.steps << " steps, "
+                  << result.used.accounted_bytes << " accounted bytes, "
+                  << result.used.wall_ms << " ms\n";
     }
-    std::cout << "resources: " << governed.used.steps << " steps, "
-              << governed.used.accounted_bytes << " accounted bytes, "
-              << governed.used.wall_ms << " ms\n";
-    if (!governed.ok()) {
+    if (!result.ok()) {
         std::cout << "no result obtainable within the budget\n";
-        return 4;
+        return report.exit_code;
     }
-    const ThroughputResult& t = *governed.value;
-    const bool bound = governed.status == GovernedStatus::degraded;
+    const ThroughputResult& t = *result.value;
+    const bool bound = result.status == GovernedStatus::degraded;
     switch (t.outcome) {
         case ThroughputOutcome::deadlocked:
             std::cout << "throughput: graph deadlocks (0)\n";
@@ -347,157 +339,71 @@ int cmd_analyze_governed(const Graph& g, const GovernOptions& options) {
     return 0;
 }
 
-// ---- analyze --certify / --json: the abstract-interpretation report ----
-
-std::string json_quote(const std::string& text) {
-    std::string out = "\"";
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out + "\"";
-}
-
-std::string json_opt_int(const std::optional<Int>& value) {
-    return value.has_value() ? std::to_string(*value) : "null";
-}
-
-/// `analyze --certify [--json]`: token intervals, reachability firing
-/// bounds and machine-checked buffer-bound certificates.  Budget flags
-/// govern the solver through its per-transfer checkpoints, so exhaustion
-/// surfaces as BudgetExceeded and exit code 4 via the outer handler.
-/// Exit 1 when the certificate fails its independent checker or the
-/// analysis proves the graph broken (inconsistent rates, a dead actor, or
-/// a firing bound below the repetition count — guaranteed deadlock).
+/// `analyze --certify [--json]`: the certify op — token intervals,
+/// reachability firing bounds and machine-checked buffer-bound
+/// certificates.  Budget flags govern the solver through its per-transfer
+/// checkpoints, so exhaustion surfaces as BudgetExceeded and exit code 4
+/// via the outer handler.  Exit 1 when the certificate fails its
+/// independent checker or the analysis proves the graph broken
+/// (inconsistent rates, a dead actor, or a firing bound below the
+/// repetition count — guaranteed deadlock).
 int cmd_analyze_absint(const Graph& g, bool json, bool certify,
                        const ExecutionBudget& budget) {
-    std::optional<Governor> governor;
-    std::optional<GovernorScope> scope;
-    if (!budget.unlimited()) {
-        governor.emplace(budget);
-        scope.emplace(*governor);
-    }
-    const absint::TokenIntervals ti = absint::token_intervals(g);
-    const absint::Reachability reach = absint::compute_reachability(g);
-    std::optional<absint::CertifiedBounds> certified;
-    absint::CertificateCheck check;
-    if (certify) {
-        certified = absint::certify_buffer_bounds(g, ti);
-        check = absint::verify_certificate(g, *certified);
-    }
-    std::optional<std::vector<Int>> q;
-    std::string inconsistency;
-    if (g.actor_count() > 0) {
-        try {
-            q = repetition_vector(g);
-        } catch (const Error& e) {
-            inconsistency = e.what();
-        }
-    }
-    bool dead_actor = false;
-    bool guaranteed_deadlock = false;
-    for (ActorId a = 0; a < g.actor_count(); ++a) {
-        dead_actor = dead_actor || reach.never_fires(a);
-        guaranteed_deadlock =
-            guaranteed_deadlock ||
-            (q && reach.max_firings[a].has_value() && *reach.max_firings[a] < (*q)[a]);
-    }
+    const serve::ops::CertifyReport report =
+        serve::ops::certify(g, budget, CancellationToken{}, certify);
     if (json) {
-        std::cout << "{\n";
-        std::cout << "  \"graph\": " << json_quote(g.name()) << ",\n";
-        std::cout << "  \"consistent\": " << (inconsistency.empty() ? "true" : "false")
-                  << ",\n";
-        std::cout << "  \"solver_steps\": " << ti.solver_steps << ",\n";
-        std::cout << "  \"channels\": [";
-        for (ChannelId c = 0; c < g.channel_count(); ++c) {
-            const Channel& ch = g.channel(c);
-            std::cout << (c == 0 ? "\n" : ",\n");
-            std::cout << "    {\"id\": " << c << ", \"src\": "
-                      << json_quote(g.actor(ch.src).name) << ", \"dst\": "
-                      << json_quote(g.actor(ch.dst).name) << ", \"lo\": "
-                      << ti.channels[c].lo << ", \"hi\": "
-                      << json_opt_int(ti.channels[c].hi) << ", \"cap\": "
-                      << json_opt_int(ti.caps[c]);
-            if (certified) {
-                std::cout << ", \"certified_bound\": "
-                          << json_opt_int(certified->certificates[c].bound);
-            }
-            std::cout << "}";
+        std::cout << report.json.dump_report();
+        return report.exit_code;
+    }
+    const absint::TokenIntervals& ti = report.intervals;
+    const absint::Reachability& reach = report.reach;
+    std::cout << "token intervals (per channel, over every admissible execution):\n";
+    for (ChannelId c = 0; c < g.channel_count(); ++c) {
+        const Channel& ch = g.channel(c);
+        std::cout << "  #" << c << " " << g.actor(ch.src).name << " -> "
+                  << g.actor(ch.dst).name << ": " << ti.channels[c].to_string();
+        if (ti.caps[c].has_value()) {
+            std::cout << "  (structural cap " << *ti.caps[c] << ")";
         }
-        std::cout << (g.channel_count() == 0 ? "],\n" : "\n  ],\n");
-        std::cout << "  \"actors\": [";
-        for (ActorId a = 0; a < g.actor_count(); ++a) {
-            std::cout << (a == 0 ? "\n" : ",\n");
-            std::cout << "    {\"name\": " << json_quote(g.actor(a).name)
-                      << ", \"possibly_enabled\": "
-                      << (ti.possibly_enabled[a] ? "true" : "false")
-                      << ", \"max_firings\": " << json_opt_int(reach.max_firings[a])
-                      << "}";
+        std::cout << "\n";
+    }
+    std::cout << "cycle invariants proving the caps: " << ti.invariants.size()
+              << " (solver steps: " << ti.solver_steps << ")\n";
+    std::cout << "reachability (firing bounds over any admissible execution):\n";
+    for (ActorId a = 0; a < g.actor_count(); ++a) {
+        std::cout << "  " << g.actor(a).name << ": ";
+        if (!reach.max_firings[a].has_value()) {
+            std::cout << "unbounded\n";
+        } else {
+            std::cout << "at most " << *reach.max_firings[a]
+                      << (reach.never_fires(a) ? " (dead)" : "") << "\n";
         }
-        std::cout << (g.actor_count() == 0 ? "],\n" : "\n  ],\n");
-        std::cout << "  \"invariants\": " << ti.invariants.size() << ",\n";
-        if (certified) {
-            std::cout << "  \"certificate\": {\"verified\": "
-                      << (check.ok ? "true" : "false") << ", \"reason\": "
-                      << json_quote(check.reason) << "},\n";
-        }
-        std::cout << "  \"verdicts\": {\"dead_actor\": "
-                  << (dead_actor ? "true" : "false") << ", \"guaranteed_deadlock\": "
-                  << (guaranteed_deadlock ? "true" : "false") << "}\n";
-        std::cout << "}\n";
-    } else {
-        std::cout << "token intervals (per channel, over every admissible execution):\n";
-        for (ChannelId c = 0; c < g.channel_count(); ++c) {
-            const Channel& ch = g.channel(c);
-            std::cout << "  #" << c << " " << g.actor(ch.src).name << " -> "
-                      << g.actor(ch.dst).name << ": " << ti.channels[c].to_string();
-            if (ti.caps[c].has_value()) {
-                std::cout << "  (structural cap " << *ti.caps[c] << ")";
-            }
-            std::cout << "\n";
-        }
-        std::cout << "cycle invariants proving the caps: " << ti.invariants.size()
-                  << " (solver steps: " << ti.solver_steps << ")\n";
-        std::cout << "reachability (firing bounds over any admissible execution):\n";
-        for (ActorId a = 0; a < g.actor_count(); ++a) {
-            std::cout << "  " << g.actor(a).name << ": ";
-            if (!reach.max_firings[a].has_value()) {
-                std::cout << "unbounded\n";
-            } else {
-                std::cout << "at most " << *reach.max_firings[a]
-                          << (reach.never_fires(a) ? " (dead)" : "") << "\n";
-            }
-        }
-        if (certified) {
-            std::cout << "certified buffer bounds:\n";
-            for (const absint::BoundCertificate& cert : certified->certificates) {
-                const Channel& ch = g.channel(cert.channel);
-                std::cout << "  #" << cert.channel << " " << g.actor(ch.src).name
-                          << " -> " << g.actor(ch.dst).name << ": "
-                          << (cert.bound ? std::to_string(*cert.bound) : "unbounded")
-                          << "\n";
-            }
-            std::cout << "certificate: "
-                      << (check.ok ? "VERIFIED (independent checker accepts)"
-                                   : "REJECTED: " + check.reason)
+    }
+    if (report.certified) {
+        std::cout << "certified buffer bounds:\n";
+        for (const absint::BoundCertificate& cert : report.certified->certificates) {
+            const Channel& ch = g.channel(cert.channel);
+            std::cout << "  #" << cert.channel << " " << g.actor(ch.src).name
+                      << " -> " << g.actor(ch.dst).name << ": "
+                      << (cert.bound ? std::to_string(*cert.bound) : "unbounded")
                       << "\n";
         }
-        if (!inconsistency.empty()) {
-            std::cout << "consistency: inconsistent — " << inconsistency << "\n";
-        }
-        if (dead_actor) {
-            std::cout << "verdict: at least one actor provably never fires\n";
-        }
-        if (guaranteed_deadlock) {
-            std::cout << "verdict: a firing bound is below the repetition count — "
-                         "no iteration can complete\n";
-        }
+        std::cout << "certificate: "
+                  << (report.check.ok ? "VERIFIED (independent checker accepts)"
+                                      : "REJECTED: " + report.check.reason)
+                  << "\n";
     }
-    const bool broken = (certify && !check.ok) || !inconsistency.empty() ||
-                        dead_actor || guaranteed_deadlock;
-    return broken ? 1 : 0;
+    if (!report.inconsistency.empty()) {
+        std::cout << "consistency: inconsistent — " << report.inconsistency << "\n";
+    }
+    if (report.dead_actor) {
+        std::cout << "verdict: at least one actor provably never fires\n";
+    }
+    if (report.guaranteed_deadlock) {
+        std::cout << "verdict: a firing bound is below the repetition count — "
+                     "no iteration can complete\n";
+    }
+    return report.exit_code;
 }
 
 int cmd_deadlock(const Graph& g) {
@@ -539,21 +445,10 @@ int cmd_convert(const Graph& g, const std::string& format,
              out);
         return 0;
     }
-    if (format == "text" || format == "xml" || format == "dot") {
-        if (!out) {
-            if (format == "xml") {
-                std::cout << write_xml_string(g);
-            } else if (format == "dot") {
-                std::cout << write_dot_string(g);
-            } else {
-                write_text(std::cout, g);
-            }
-        } else {
-            save(g, out);
-        }
-    } else {
+    if (format != "text" && format != "xml" && format != "dot") {
         return usage();
     }
+    save(g, out, format);
     return 0;
 }
 
@@ -737,7 +632,7 @@ int cmd_lint(const std::string& path, const std::string& format,
     }
     const LintReport report = lint_graph(graph, &locations, options);
     if (format == "json") {
-        std::cout << render_json(report, path, graph.name());
+        std::cout << serve::ops::lint_json(report, path, graph.name()).dump_report();
     } else {
         std::cout << render_text(report, path);
         std::cout << path << ": " << report.count(Severity::error) << " errors, "
@@ -1111,7 +1006,7 @@ int main(int argc, char** argv) {
                 return cmd_analyze_absint(g, absint_json, certify,
                                           govern_options.budget);
             }
-            return governed ? cmd_analyze_governed(g, govern_options) : cmd_analyze(g);
+            return cmd_analyze(g, govern_options, governed);
         }
         if (command == "deadlock" && positional.size() == 1) {
             return cmd_deadlock(load(positional[0]));
