@@ -75,12 +75,10 @@ ModelReport measure_model(const BenchmarkCase& bench, int reps) {
     r.matrix_density = warm.matrix.density();
 
     r.baseline_dense = sdfbench::measure_ms(reps, [&] {
-        benchmark::DoNotOptimize(
-            symbolic_iteration(bench.graph, SymbolicEngine::dense));
+        benchmark::DoNotOptimize(symbolic_iteration_dense(bench.graph));
     });
     r.optimized_sparse = sdfbench::measure_ms(reps, [&] {
-        benchmark::DoNotOptimize(
-            symbolic_iteration(bench.graph, SymbolicEngine::sparse));
+        benchmark::DoNotOptimize(symbolic_iteration(bench.graph));
     });
     r.traditional = sdfbench::measure_ms(reps, [&] {
         benchmark::DoNotOptimize(to_hsdf_classic(bench.graph));
@@ -236,8 +234,7 @@ void BM_SymbolicIterationSparse(benchmark::State& state) {
     const auto cases = bundled_models();
     const BenchmarkCase& bench = cases[static_cast<std::size_t>(state.range(0))];
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            symbolic_iteration(bench.graph, SymbolicEngine::sparse));
+        benchmark::DoNotOptimize(symbolic_iteration(bench.graph));
     }
     state.SetLabel(bench.label);
 }
@@ -246,8 +243,7 @@ void BM_SymbolicIterationDense(benchmark::State& state) {
     const auto cases = bundled_models();
     const BenchmarkCase& bench = cases[static_cast<std::size_t>(state.range(0))];
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            symbolic_iteration(bench.graph, SymbolicEngine::dense));
+        benchmark::DoNotOptimize(symbolic_iteration_dense(bench.graph));
     }
     state.SetLabel(bench.label);
 }

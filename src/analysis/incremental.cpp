@@ -1,70 +1,31 @@
 #include "analysis/incremental.hpp"
 
-#include <deque>
 #include <utility>
 
 #include "base/errors.hpp"
 #include "maxplus/matrix.hpp"
-#include "robust/budget.hpp"
 #include "sdf/repetition.hpp"
 #include "sdf/schedule.hpp"
-#include "transform/symbolic.hpp"
+#include "transform/token_game.hpp"
 
 namespace sdf {
 
 namespace {
 
-/// Mirrors the dense-matrix guard of transform/symbolic.cpp; past either
-/// bound the slot degrades to a stateless throughput_symbolic answer.
-constexpr Int kMaxTracedTokens = 16384;
+/// Past this many firings the slot degrades to a stateless
+/// throughput_symbolic answer: the trace keeps one stamp per firing.
 constexpr std::size_t kMaxTracedFirings = std::size_t{1} << 17;
 
 std::uint64_t entry_key(std::size_t row, std::size_t col) {
     return (static_cast<std::uint64_t>(row) << 32) | static_cast<std::uint64_t>(col);
 }
 
-/// Input/output channel lists per actor (same shape the symbolic engines
-/// build).
-struct Adjacency {
-    std::vector<std::vector<ChannelId>> inputs;
-    std::vector<std::vector<ChannelId>> outputs;
+/// A replayed token: its stamp, and whether it may differ from the stamp
+/// the traced execution gave the same token.
+struct ReplayToken {
+    MpStamp stamp;
+    bool dirty = false;
 };
-
-Adjacency build_adjacency(const Graph& graph) {
-    Adjacency adj;
-    adj.inputs.resize(graph.actor_count());
-    adj.outputs.resize(graph.actor_count());
-    for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-        adj.inputs[graph.channel(c).dst].push_back(c);
-        adj.outputs[graph.channel(c).src].push_back(c);
-    }
-    return adj;
-}
-
-ThroughputResult deadlocked_result(const Graph& graph) {
-    ThroughputResult result;
-    result.outcome = ThroughputOutcome::deadlocked;
-    result.per_actor.assign(graph.actor_count(), Rational(0));
-    return result;
-}
-
-/// λ → ThroughputResult, with the repetition vector handed in so the
-/// refine hook never triggers a compute through the manager.
-ThroughputResult result_from_metric(const CycleMetric& metric,
-                                    const std::vector<Int>& repetition) {
-    ThroughputResult result;
-    if (metric.outcome != CycleOutcome::finite || metric.value.is_zero()) {
-        result.outcome = ThroughputOutcome::unbounded;
-        return result;
-    }
-    result.outcome = ThroughputOutcome::finite;
-    result.period = metric.value;
-    result.per_actor.reserve(repetition.size());
-    for (const Int q : repetition) {
-        result.per_actor.push_back(Rational(q) / metric.value);
-    }
-    return result;
-}
 
 /// Sparse entries of one stamp, in index order.
 std::vector<std::pair<std::size_t, Int>> stamp_entries(const MpStamp& stamp) {
@@ -110,76 +71,36 @@ IncrementalThroughput IncrementalThroughputAnalysis::compute(const Graph& graph)
     try {
         schedule = sequential_schedule(graph);
     } catch (const DeadlockError&) {
-        out.result = deadlocked_result(graph);
+        out.result = deadlocked_throughput(graph);
         return out;
     }
-    if (graph.total_initial_tokens() > kMaxTracedTokens ||
-        schedule.size() > kMaxTracedFirings) {
-        // Too big to keep warm: same answer, no state.  (throughput_symbolic
-        // re-throws the ResourceLimitError of the dense-matrix guard, which
-        // then propagates uncached — identical to the plain slot.)
+    if (schedule.size() > kMaxTracedFirings) {
+        // Too big to keep warm: same answer, no state.
         out.result = throughput_symbolic(graph);
         return out;
     }
 
-    // --- Traced sparse symbolic execution (run_sparse + a trace). --------
-    const std::size_t n = static_cast<std::size_t>(graph.total_initial_tokens());
-    std::vector<std::deque<MpStamp>> fifo(graph.channel_count());
-    {
-        std::size_t global = 0;
-        for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-            for (Int i = 0; i < graph.channel(c).initial_tokens; ++i) {
-                fifo[c].push_back(MpStamp::unit(global++));
-            }
-        }
-    }
-    const Adjacency adj = build_adjacency(graph);
-    auto skeleton = std::make_shared<IncrementalSkeleton>();
-    skeleton->schedule = std::move(schedule);
-    skeleton->token_count = n;
+    // --- The token game, tracing every finish stamp. ----------------------
+    // (Above kMaxSymbolicTokens it throws the same ResourceLimitError as
+    // throughput_symbolic, which then propagates uncached.)
     auto state = std::make_shared<IncrementalThroughputState>();
-    state->finish.reserve(skeleton->schedule.size());
-    std::vector<MpStamp> consumed;
-    for (const ActorId a : skeleton->schedule) {
-        SDFRED_CHECKPOINT();
-        consumed.clear();
-        for (const ChannelId ci : adj.inputs[a]) {
-            const Int need = graph.channel(ci).consumption;
-            for (Int i = 0; i < need; ++i) {
-                if (fifo[ci].empty()) {
-                    throw Error("internal: admissible schedule underflowed a channel");
-                }
-                consumed.push_back(std::move(fifo[ci].front()));
-                fifo[ci].pop_front();
-            }
-        }
-        const MpStamp finish =
-            MpStamp::max_of(consumed).plus(graph.actor(a).execution_time);
-        state->finish.push_back(finish);
-        for (const ChannelId ci : adj.outputs[a]) {
-            for (Int i = 0; i < graph.channel(ci).production; ++i) {
-                fifo[ci].push_back(finish);
-            }
-        }
+    state->finish.reserve(schedule.size());
+    auto columns = play_token_game<MpStamp>(
+        graph, schedule, [&](std::size_t i, const std::vector<MpStamp>& consumed) {
+            state->finish.push_back(
+                MpStamp::max_of(consumed).plus(graph.actor(schedule[i]).execution_time));
+            return state->finish.back();
+        });
+    if (!columns) {
+        throw Error("internal: admissible schedule does not fit one iteration");
     }
+    state->column = std::move(*columns);
 
     // --- Matrix, precedence graph, entry → edge map, certificate. --------
-    MpMatrix matrix(n, n);
-    state->column.reserve(n);
-    for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-        const Int expected = graph.channel(c).initial_tokens;
-        if (static_cast<Int>(fifo[c].size()) != expected) {
-            throw Error("internal: channel token count changed over an iteration");
-        }
-        for (Int i = 0; i < expected; ++i) {
-            const std::size_t col = state->column.size();
-            const MpStamp& stamp = fifo[c][static_cast<std::size_t>(i)];
-            stamp.for_each(
-                [&](std::size_t row, Int value) { matrix.set(row, col, MpValue(value)); });
-            state->column.push_back(stamp);
-        }
-    }
-    const Digraph precedence = matrix.precedence_graph();
+    const Digraph precedence = stamp_matrix(state->column).precedence_graph();
+    auto skeleton = std::make_shared<IncrementalSkeleton>();
+    skeleton->schedule = std::move(schedule);
+    skeleton->token_count = state->column.size();
     skeleton->entry_edge.reserve(precedence.edge_count());
     for (std::size_t g = 0; g < precedence.edge_count(); ++g) {
         const DigraphEdge& e = precedence.edge(g);
@@ -188,7 +109,8 @@ IncrementalThroughput IncrementalThroughputAnalysis::compute(const Graph& graph)
     state->certificate = max_cycle_mean_certified(precedence);
     state->skeleton = std::move(skeleton);
 
-    out.result = result_from_metric(state->certificate.metric, repetition_vector(graph));
+    out.result =
+        throughput_from_metric(state->certificate.metric, repetition_vector(graph));
     out.state = std::move(state);
     return out;
 }
@@ -216,73 +138,46 @@ Refined<IncrementalThroughput> IncrementalThroughputAnalysis::refine(
     }
 
     // --- Replay the traced execution, reusing clean finish stamps. -------
-    const Adjacency adj = build_adjacency(graph);
-    std::vector<std::deque<std::pair<MpStamp, bool>>> fifo(graph.channel_count());
-    {
-        std::size_t global = 0;
-        for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-            for (Int i = 0; i < graph.channel(c).initial_tokens; ++i) {
-                fifo[c].emplace_back(MpStamp::unit(global++), false);
-            }
-        }
-        if (global != sk.token_count) {
-            return Out::drop();  // token layout moved under us: not a timing edit
-        }
+    if (graph.total_initial_tokens() != static_cast<Int>(sk.token_count)) {
+        return Out::drop();  // token layout moved under us: not a timing edit
     }
     std::vector<MpStamp> finish;
     finish.reserve(sk.schedule.size());
-    std::vector<MpStamp> consumed;
-    for (std::size_t i = 0; i < sk.schedule.size(); ++i) {
-        SDFRED_CHECKPOINT();
-        const ActorId a = sk.schedule[i];
-        if (a >= graph.actor_count()) {
-            return Out::drop();
-        }
-        bool dirty = touched[a] != 0;
-        consumed.clear();
-        for (const ChannelId ci : adj.inputs[a]) {
-            const Int need = graph.channel(ci).consumption;
-            for (Int k = 0; k < need; ++k) {
-                if (fifo[ci].empty()) {
-                    return Out::drop();
-                }
-                dirty = dirty || fifo[ci].front().second;
-                consumed.push_back(std::move(fifo[ci].front().first));
-                fifo[ci].pop_front();
+    std::vector<MpStamp> stamps;
+    auto replayed = play_token_game<ReplayToken>(
+        graph, sk.schedule, [&](std::size_t i, std::vector<ReplayToken>& consumed) {
+            const ActorId a = sk.schedule[i];
+            bool dirty = touched[a] != 0;
+            for (const ReplayToken& token : consumed) {
+                dirty = dirty || token.dirty;
             }
-        }
-        MpStamp stamp;
-        if (!dirty) {
-            stamp = st.finish[i];  // untouched cone: the old handle is exact
-        } else {
-            stamp = MpStamp::max_of(consumed).plus(graph.actor(a).execution_time);
-            if (stamp == st.finish[i]) {
-                dirty = false;  // edit absorbed (e.g. not on the critical input)
+            if (!dirty) {
+                finish.push_back(st.finish[i]);  // untouched cone: the old handle is exact
+                return ReplayToken{st.finish[i], false};
             }
-        }
-        finish.push_back(stamp);
-        for (const ChannelId ci : adj.outputs[a]) {
-            for (Int k = 0; k < graph.channel(ci).production; ++k) {
-                fifo[ci].emplace_back(stamp, dirty);
+            stamps.clear();
+            for (ReplayToken& token : consumed) {
+                stamps.push_back(std::move(token.stamp));
             }
-        }
+            finish.push_back(MpStamp::max_of(stamps).plus(graph.actor(a).execution_time));
+            // Equal to the traced stamp: the edit was absorbed (e.g. not on
+            // the critical input) and the cone stops here.
+            return ReplayToken{finish.back(), !(finish.back() == st.finish[i])};
+        });
+    if (!replayed) {
+        return Out::drop();
     }
 
     // --- Diff the final columns into precedence-edge weight deltas. ------
     std::vector<MpStamp> column;
     column.reserve(sk.token_count);
     std::vector<EdgeWeightDelta> deltas;
-    for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-        if (static_cast<Int>(fifo[c].size()) != graph.channel(c).initial_tokens) {
+    for (ReplayToken& token : *replayed) {
+        const std::size_t col = column.size();
+        if (token.dirty && !diff_column(token.stamp, st.column[col], col, sk, deltas)) {
             return Out::drop();
         }
-        for (auto& [stamp, dirty] : fifo[c]) {
-            const std::size_t col = column.size();
-            if (dirty && !diff_column(stamp, st.column[col], col, sk, deltas)) {
-                return Out::drop();
-            }
-            column.push_back(std::move(stamp));
-        }
+        column.push_back(std::move(token.stamp));
     }
 
     // --- Certificate re-check; Howard only on SCCs whose witnesses broke.
@@ -299,7 +194,7 @@ Refined<IncrementalThroughput> IncrementalThroughputAnalysis::refine(
         next.result = old.result;  // λ unchanged: per-actor rates carry over
     } else {
         const auto reps = ctx.target.cached<RepetitionVectorAnalysis>();
-        next.result = result_from_metric(
+        next.result = throughput_from_metric(
             metric, reps ? *reps : RepetitionVectorAnalysis::compute(graph));
     }
     auto state = std::make_shared<IncrementalThroughputState>();

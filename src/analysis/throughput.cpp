@@ -16,33 +16,28 @@
 
 namespace sdf {
 
-namespace {
-
-/// Turns a period λ into per-actor throughputs q(a)/λ.
-ThroughputResult finite_result(const Graph& graph, const Rational& period) {
-    ThroughputResult result;
-    if (period.is_zero()) {
-        result.outcome = ThroughputOutcome::unbounded;
-        return result;
-    }
-    result.outcome = ThroughputOutcome::finite;
-    result.period = period;
-    const std::vector<Int> repetition = repetition_vector(graph);
-    result.per_actor.reserve(repetition.size());
-    for (const Int q : repetition) {
-        result.per_actor.push_back(Rational(q) / period);
-    }
-    return result;
-}
-
-ThroughputResult deadlocked_result(const Graph& graph) {
+ThroughputResult deadlocked_throughput(const Graph& graph) {
     ThroughputResult result;
     result.outcome = ThroughputOutcome::deadlocked;
     result.per_actor.assign(graph.actor_count(), Rational(0));
     return result;
 }
 
-}  // namespace
+ThroughputResult throughput_from_metric(const CycleMetric& metric,
+                                        const std::vector<Int>& repetition) {
+    ThroughputResult result;
+    if (!metric.is_finite() || metric.value.is_zero()) {
+        result.outcome = ThroughputOutcome::unbounded;
+        return result;
+    }
+    result.outcome = ThroughputOutcome::finite;
+    result.period = metric.value;
+    result.per_actor.reserve(repetition.size());
+    for (const Int q : repetition) {
+        result.per_actor.push_back(Rational(q) / metric.value);
+    }
+    return result;
+}
 
 Refined<ThroughputResult> ThroughputAnalysis::refine(const Result& old,
                                                      const RefineContext& ctx) {
@@ -63,35 +58,22 @@ ThroughputResult throughput_symbolic(const Graph& graph) {
     try {
         iteration = symbolic_iteration(graph);
     } catch (const DeadlockError&) {
-        return deadlocked_result(graph);
+        return deadlocked_throughput(graph);
     }
-    const CycleMetric metric = max_cycle_mean(iteration.matrix.precedence_graph());
-    if (metric.outcome == CycleOutcome::no_cycle) {
-        ThroughputResult result;
-        result.outcome = ThroughputOutcome::unbounded;
-        return result;
-    }
-    return finite_result(graph, metric.value);
+    return throughput_from_metric(max_cycle_mean(iteration.matrix.precedence_graph()),
+                                  repetition_vector(graph));
 }
 
 ThroughputResult throughput_via_classic_hsdf(const Graph& graph) {
     const ClassicHsdf hsdf = to_hsdf_classic(graph);
     const Digraph digraph = dependency_digraph(hsdf.graph);
     const CycleMetric metric = max_cycle_ratio_exact(digraph);
-    switch (metric.outcome) {
-        case CycleOutcome::no_cycle: {
-            ThroughputResult result;
-            result.outcome = ThroughputOutcome::unbounded;
-            return result;
-        }
-        case CycleOutcome::infinite:
-            // A zero-token cycle in the HSDF is exactly a deadlock of the
-            // original graph.
-            return deadlocked_result(graph);
-        case CycleOutcome::finite:
-            return finite_result(graph, metric.value);
+    if (metric.outcome == CycleOutcome::infinite) {
+        // A zero-token cycle in the HSDF is exactly a deadlock of the
+        // original graph.
+        return deadlocked_throughput(graph);
     }
-    throw Error("unreachable");
+    return throughput_from_metric(metric, repetition_vector(graph));
 }
 
 ThroughputResult throughput_simulation(const Graph& graph, std::size_t max_events) {
@@ -106,7 +88,7 @@ ThroughputResult throughput_simulation(const Graph& graph, std::size_t max_event
     }
     const ThroughputRun run = simulate_throughput(graph, max_events);
     if (run.deadlocked) {
-        return deadlocked_result(graph);
+        return deadlocked_throughput(graph);
     }
     const std::vector<Int> repetition = repetition_vector(graph);
     // An actor with zero firings in the recurrent window is permanently
@@ -116,7 +98,7 @@ ThroughputResult throughput_simulation(const Graph& graph, std::size_t max_event
     // the iteration semantics that routes 1 and 2 report.
     for (ActorId a = 0; a < graph.actor_count(); ++a) {
         if (run.period_firings[a] == 0) {
-            return deadlocked_result(graph);
+            return deadlocked_throughput(graph);
         }
     }
     // Recover λ per actor as q(a) · period_time / period_firings(a) and
@@ -130,7 +112,7 @@ ThroughputResult throughput_simulation(const Graph& graph, std::size_t max_event
             Rational(repetition[a]) * Rational(run.period_time, run.period_firings[a]);
         period = std::max(period, candidate);
     }
-    return finite_result(graph, period);
+    return throughput_from_metric(CycleMetric{CycleOutcome::finite, period}, repetition);
 }
 
 Rational iteration_period(const Graph& graph) {

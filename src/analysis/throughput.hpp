@@ -54,6 +54,17 @@ struct ThroughputResult {
     [[nodiscard]] bool is_finite() const { return outcome == ThroughputOutcome::finite; }
 };
 
+struct CycleMetric;  // maxplus/mcm.hpp
+
+/// The answer for a deadlocked graph: every per-actor throughput zero.
+ThroughputResult deadlocked_throughput(const Graph& graph);
+
+/// The answer for an iteration period: per-actor q(a)/λ over `repetition`.
+/// Unbounded unless the metric is finite and positive (an acyclic
+/// precedence graph, or zero-time cycles only).
+ThroughputResult throughput_from_metric(const CycleMetric& metric,
+                                        const std::vector<Int>& repetition);
+
 /// Route 1: symbolic iteration matrix + max cycle mean (exact, recommended).
 ThroughputResult throughput_symbolic(const Graph& graph);
 

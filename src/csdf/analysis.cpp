@@ -4,9 +4,10 @@
 
 #include "base/errors.hpp"
 #include "maxplus/mcm.hpp"
-#include "maxplus/vector.hpp"
+#include "robust/budget.hpp"
 #include "sdf/repetition.hpp"
 #include "transform/hsdf_reduced.hpp"
+#include "transform/token_game.hpp"
 
 namespace sdf {
 
@@ -40,13 +41,7 @@ std::vector<CsdfFiring> csdf_sequential_schedule(const CsdfGraph& graph) {
     const std::vector<Int> cycles = csdf_repetition(graph);
     const std::size_t n = graph.actor_count();
 
-    std::vector<std::vector<CsdfChannelId>> inputs(n);
-    std::vector<std::vector<CsdfChannelId>> outputs(n);
-    for (CsdfChannelId c = 0; c < graph.channel_count(); ++c) {
-        inputs[graph.channel(c).dst].push_back(c);
-        outputs[graph.channel(c).src].push_back(c);
-    }
-
+    const Adjacency adj = build_adjacency(graph);
     std::vector<Int> tokens;
     tokens.reserve(graph.channel_count());
     for (const CsdfChannel& c : graph.channels()) {
@@ -62,7 +57,7 @@ std::vector<CsdfFiring> csdf_sequential_schedule(const CsdfGraph& graph) {
     }
 
     const auto enabled = [&](CsdfActorId a) {
-        for (const CsdfChannelId ci : inputs[a]) {
+        for (const CsdfChannelId ci : adj.inputs[a]) {
             const Int need =
                 graph.channel(ci).consumption[static_cast<std::size_t>(phase[a])];
             if (tokens[ci] < need) {
@@ -73,6 +68,7 @@ std::vector<CsdfFiring> csdf_sequential_schedule(const CsdfGraph& graph) {
     };
 
     std::vector<CsdfFiring> schedule;
+    robust_account_bytes(static_cast<std::size_t>(total_remaining) * sizeof(CsdfFiring));
     schedule.reserve(static_cast<std::size_t>(total_remaining));
     std::deque<CsdfActorId> worklist;
     std::vector<bool> queued(n, false);
@@ -85,18 +81,19 @@ std::vector<CsdfFiring> csdf_sequential_schedule(const CsdfGraph& graph) {
         worklist.pop_front();
         queued[a] = false;
         while (remaining[a] > 0 && enabled(a)) {
+            SDFRED_CHECKPOINT();
             const auto p = static_cast<std::size_t>(phase[a]);
-            for (const CsdfChannelId ci : inputs[a]) {
+            for (const CsdfChannelId ci : adj.inputs[a]) {
                 tokens[ci] -= graph.channel(ci).consumption[p];
             }
-            for (const CsdfChannelId ci : outputs[a]) {
+            for (const CsdfChannelId ci : adj.outputs[a]) {
                 tokens[ci] = checked_add(tokens[ci], graph.channel(ci).production[p]);
             }
             schedule.push_back(CsdfFiring{a, phase[a]});
             phase[a] = (phase[a] + 1) % static_cast<Int>(graph.actor(a).phase_count());
             --remaining[a];
             --total_remaining;
-            for (const CsdfChannelId ci : outputs[a]) {
+            for (const CsdfChannelId ci : adj.outputs[a]) {
                 const CsdfActorId consumer = graph.channel(ci).dst;
                 if (!queued[consumer] && remaining[consumer] > 0) {
                     worklist.push_back(consumer);
@@ -125,61 +122,18 @@ bool csdf_is_live(const CsdfGraph& graph) {
 
 CsdfSymbolicIteration csdf_symbolic_iteration(const CsdfGraph& graph) {
     const std::vector<CsdfFiring> schedule = csdf_sequential_schedule(graph);
-    const Int token_count = graph.total_initial_tokens();
-    const auto n = static_cast<std::size_t>(token_count);
-
-    std::vector<std::deque<MpVector>> fifo(graph.channel_count());
-    {
-        std::size_t global = 0;
-        for (CsdfChannelId c = 0; c < graph.channel_count(); ++c) {
-            for (Int i = 0; i < graph.channel(c).initial_tokens; ++i) {
-                fifo[c].push_back(MpVector::unit(n, global++));
-            }
-        }
+    const auto columns = play_token_game<MpStamp>(
+        graph, schedule, [&](std::size_t i, const std::vector<MpStamp>& consumed) {
+            const CsdfFiring& f = schedule[i];
+            return MpStamp::max_of(consumed).plus(
+                graph.actor(f.actor).phase_times[static_cast<std::size_t>(f.phase)]);
+        });
+    if (!columns) {
+        throw Error("internal: CSDF schedule does not fit one iteration");
     }
-    std::vector<std::vector<CsdfChannelId>> inputs(graph.actor_count());
-    std::vector<std::vector<CsdfChannelId>> outputs(graph.actor_count());
-    for (CsdfChannelId c = 0; c < graph.channel_count(); ++c) {
-        inputs[graph.channel(c).dst].push_back(c);
-        outputs[graph.channel(c).src].push_back(c);
-    }
-
-    for (const CsdfFiring& firing : schedule) {
-        const auto p = static_cast<std::size_t>(firing.phase);
-        MpVector start(n);
-        for (const CsdfChannelId ci : inputs[firing.actor]) {
-            const Int need = graph.channel(ci).consumption[p];
-            for (Int i = 0; i < need; ++i) {
-                if (fifo[ci].empty()) {
-                    throw Error("internal: CSDF schedule underflowed a channel");
-                }
-                start = start.max_with(fifo[ci].front());
-                fifo[ci].pop_front();
-            }
-        }
-        const MpVector finish = start.plus(graph.actor(firing.actor).phase_times[p]);
-        for (const CsdfChannelId ci : outputs[firing.actor]) {
-            for (Int i = 0; i < graph.channel(ci).production[p]; ++i) {
-                fifo[ci].push_back(finish);
-            }
-        }
-    }
-
     CsdfSymbolicIteration result;
-    result.token_count = token_count;
-    result.matrix = MpMatrix(n, n);
-    {
-        std::size_t global = 0;
-        for (CsdfChannelId c = 0; c < graph.channel_count(); ++c) {
-            const Int expected = graph.channel(c).initial_tokens;
-            if (static_cast<Int>(fifo[c].size()) != expected) {
-                throw Error("internal: CSDF channel token count changed");
-            }
-            for (Int i = 0; i < expected; ++i) {
-                result.matrix.set_column(global++, fifo[c][static_cast<std::size_t>(i)]);
-            }
-        }
-    }
+    result.matrix = stamp_matrix(*columns);
+    result.token_count = static_cast<Int>(columns->size());
     return result;
 }
 

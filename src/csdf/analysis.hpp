@@ -7,9 +7,11 @@
 //    aggregate rates, q'(a)·Σp = q'(b)·Σc, where q'(a) counts full phase
 //    cycles per iteration (Bilsen et al.);
 //  * scheduling: a PASS fires (actor, phase) pairs;
-//  * Algorithm 1 carries over verbatim — a firing consumes/produces
-//    per-phase amounts, stamps are max-plus vectors over the initial
-//    tokens, and one iteration yields the same kind of N×N matrix.  Its
+//  * Algorithm 1 carries over verbatim — the SDF token game
+//    (transform/token_game.hpp) plays (actor, phase) firings with
+//    per-phase amounts, stamps are sparse max-plus vectors over the
+//    initial tokens, and one iteration yields the same kind of N×N matrix
+//    under the same token guard and budget checkpoints.  Its
 //    eigenvalue is the iteration period, and feeding it into the paper's
 //    Figure 4 construction gives a *reduced HSDF equivalent of a CSDF
 //    graph* — the natural extension of the paper's Section 6 result.
@@ -38,6 +40,12 @@ struct CsdfFiring {
     Int phase = 0;
 
     friend bool operator==(const CsdfFiring&, const CsdfFiring&) = default;
+    /// The symbolic executor's view (transform/token_game.hpp): the actor
+    /// that fires, and a channel's per-phase rate in this firing's phase.
+    friend CsdfActorId firing_actor(const CsdfFiring& f) { return f.actor; }
+    friend Int firing_rate(const std::vector<Int>& rates, const CsdfFiring& f) {
+        return rates[static_cast<std::size_t>(f.phase)];
+    }
 };
 
 /// A sequential schedule for one iteration (every actor fires
@@ -49,7 +57,9 @@ std::vector<CsdfFiring> csdf_sequential_schedule(const CsdfGraph& graph);
 bool csdf_is_live(const CsdfGraph& graph);
 
 /// The max-plus iteration matrix over the initial tokens (Algorithm 1
-/// applied at phase granularity) together with the token count.
+/// applied at phase granularity) together with the token count.  Throws
+/// ResourceLimitError above kMaxSymbolicTokens initial tokens, like the SDF
+/// route.
 struct CsdfSymbolicIteration {
     MpMatrix matrix;
     Int token_count = 0;

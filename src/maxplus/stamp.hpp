@@ -14,9 +14,9 @@
 //     common case of merging a stamp with a later copy of itself (same
 //     storage, different offsets) is O(1) — the larger offset wins.
 //
-// The dense MpVector path remains in transform/symbolic.cpp behind the same
-// interface; the differential property tests hold the two representations
-// equal on hundreds of random graphs.
+// The dense MpVector path remains in transform/symbolic.cpp as
+// symbolic_iteration_dense; the differential property tests hold the two
+// representations equal on hundreds of random graphs.
 #pragma once
 
 #include <cstddef>

@@ -3,88 +3,16 @@
 #include <deque>
 
 #include "base/errors.hpp"
-#include "maxplus/stamp.hpp"
 #include "robust/budget.hpp"
 #include "sdf/schedule.hpp"
+#include "transform/token_game.hpp"
 
 namespace sdf {
 
 namespace {
 
-/// Input/output channel lists indexed by actor, shared by both engines.
-struct Adjacency {
-    std::vector<std::vector<ChannelId>> inputs;
-    std::vector<std::vector<ChannelId>> outputs;
-};
-
-Adjacency build_adjacency(const Graph& graph) {
-    Adjacency adj;
-    adj.inputs.resize(graph.actor_count());
-    adj.outputs.resize(graph.actor_count());
-    for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-        adj.inputs[graph.channel(c).dst].push_back(c);
-        adj.outputs[graph.channel(c).src].push_back(c);
-    }
-    return adj;
-}
-
-/// The sparse engine: stamps are shared immutable (index, value) supports.
-/// Consuming merges supports in O(support), producing pushes refcounted
-/// handles, and the final matrix install walks only the finite entries.
-MpMatrix run_sparse(const Graph& graph, const std::vector<ActorId>& schedule,
-                    std::size_t n) {
-    std::vector<std::deque<MpStamp>> fifo(graph.channel_count());
-    {
-        std::size_t global = 0;
-        for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-            for (Int i = 0; i < graph.channel(c).initial_tokens; ++i) {
-                fifo[c].push_back(MpStamp::unit(global++));
-            }
-        }
-    }
-    const Adjacency adj = build_adjacency(graph);
-    std::vector<MpStamp> consumed;  // reused across firings
-    for (const ActorId a : schedule) {
-        SDFRED_CHECKPOINT();
-        consumed.clear();
-        for (const ChannelId ci : adj.inputs[a]) {
-            const Int need = graph.channel(ci).consumption;
-            for (Int i = 0; i < need; ++i) {
-                if (fifo[ci].empty()) {
-                    throw Error("internal: admissible schedule underflowed a channel");
-                }
-                consumed.push_back(std::move(fifo[ci].front()));
-                fifo[ci].pop_front();
-            }
-        }
-        // One batched k-way merge per firing instead of k pairwise merges.
-        const MpStamp finish = MpStamp::max_of(consumed).plus(graph.actor(a).execution_time);
-        for (const ChannelId ci : adj.outputs[a]) {
-            for (Int i = 0; i < graph.channel(ci).production; ++i) {
-                fifo[ci].push_back(finish);
-            }
-        }
-    }
-    MpMatrix matrix(n, n);
-    {
-        std::size_t global = 0;
-        for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-            const Int expected = graph.channel(c).initial_tokens;
-            if (static_cast<Int>(fifo[c].size()) != expected) {
-                throw Error("internal: channel token count changed over an iteration");
-            }
-            for (Int i = 0; i < expected; ++i) {
-                const std::size_t col = global++;
-                fifo[c][static_cast<std::size_t>(i)].for_each(
-                    [&](std::size_t row, Int value) { matrix.set(row, col, MpValue(value)); });
-            }
-        }
-    }
-    return matrix;
-}
-
 /// The dense reference engine: one full N-length MpVector per token, kept
-/// as the differential-testing baseline for the sparse path above.
+/// as the differential-testing baseline for play_token_game.
 MpMatrix run_dense(const Graph& graph, const std::vector<ActorId>& schedule,
                    std::size_t n) {
     // Each of the n in-flight tokens carries a full n-length vector.
@@ -139,18 +67,11 @@ MpMatrix run_dense(const Graph& graph, const std::vector<ActorId>& schedule,
 
 }  // namespace
 
-SymbolicIteration symbolic_iteration(const Graph& graph, SymbolicEngine engine) {
-    const std::vector<ActorId> schedule = sequential_schedule(graph);
-
-    SymbolicIteration result;
-    // The iteration matrix is dense n×n over the n initial tokens.  Refuse
-    // up front when it could not possibly be materialised — e.g. the
-    // bundled overflow stress model carries ~1e12 tokens, which would churn
-    // through per-token fifo allocations for minutes before dying on a
-    // multi-terabyte matrix.  16384² entries is a 4 GiB matrix, already far
-    // past every practical model (lint rule SDF009 warns much earlier).
-    constexpr Int kMaxSymbolicTokens = 16384;
-    const Int token_count = graph.total_initial_tokens();
+void require_symbolic_token_count(Int token_count) {
+    // Refuse up front when the matrix could not possibly be materialised —
+    // e.g. the bundled overflow stress model carries ~1e12 tokens, which
+    // would churn through per-token fifo allocations for minutes before
+    // dying on a multi-terabyte matrix.
     if (token_count > kMaxSymbolicTokens) {
         throw ResourceLimitError(
             "symbolic iteration needs a dense " + std::to_string(token_count) +
@@ -158,10 +79,39 @@ SymbolicIteration symbolic_iteration(const Graph& graph, SymbolicEngine engine) 
                     std::to_string(kMaxSymbolicTokens) +
                     " tokens (model large token counts as scaled rates instead)");
     }
+}
+
+MpMatrix stamp_matrix(const std::vector<MpStamp>& columns) {
+    MpMatrix matrix(columns.size(), columns.size());
+    for (std::size_t col = 0; col < columns.size(); ++col) {
+        columns[col].for_each(
+            [&](std::size_t row, Int value) { matrix.set(row, col, MpValue(value)); });
+    }
+    return matrix;
+}
+
+SymbolicIteration symbolic_iteration(const Graph& graph) {
+    const std::vector<ActorId> schedule = sequential_schedule(graph);
+    const auto columns = play_token_game<MpStamp>(
+        graph, schedule, [&](std::size_t i, const std::vector<MpStamp>& consumed) {
+            // One batched k-way merge per firing instead of k pairwise merges.
+            return MpStamp::max_of(consumed).plus(graph.actor(schedule[i]).execution_time);
+        });
+    if (!columns) {
+        throw Error("internal: admissible schedule does not fit one iteration");
+    }
+    SymbolicIteration result;
+    result.matrix = stamp_matrix(*columns);
     result.tokens = initial_tokens(graph);
-    const std::size_t n = result.tokens.size();
-    result.matrix = engine == SymbolicEngine::sparse ? run_sparse(graph, schedule, n)
-                                                     : run_dense(graph, schedule, n);
+    return result;
+}
+
+SymbolicIteration symbolic_iteration_dense(const Graph& graph) {
+    const std::vector<ActorId> schedule = sequential_schedule(graph);
+    require_symbolic_token_count(graph.total_initial_tokens());
+    SymbolicIteration result;
+    result.tokens = initial_tokens(graph);
+    result.matrix = run_dense(graph, schedule, result.tokens.size());
     return result;
 }
 

@@ -39,24 +39,26 @@ struct SymbolicIteration {
     std::vector<TokenRef> tokens;
 };
 
-/// Which stamp representation drives the symbolic execution.  Both engines
-/// produce bit-identical matrices (enforced by the differential property
-/// tests); `sparse` is the default and the fast path — a firing costs
-/// O(support of the consumed stamps) and multi-rate production pushes
-/// refcounted handles, while `dense` copies a full N-length vector per
-/// produced token and exists as the reference baseline.
-enum class SymbolicEngine {
-    sparse,  ///< MpStamp: shared immutable (index, value) storage
-    dense,   ///< MpVector: one MpValue per initial token, copied eagerly
-};
+/// The largest initial-token count a symbolic iteration accepts.  The
+/// iteration matrix is dense n×n over the initial tokens, and 16384² entries
+/// is a 4 GiB matrix, already far past every practical model (lint rule
+/// SDF009 warns much earlier).  The SDF, warm-state and CSDF routes all
+/// refuse above it with ResourceLimitError, before allocating anything.
+inline constexpr Int kMaxSymbolicTokens = 16384;
 
 /// Symbolically executes one iteration of a consistent, deadlock-free SDF
 /// graph and returns its max-plus iteration matrix.  Throws
-/// InconsistentGraphError / DeadlockError accordingly, and plain Error when
-/// the graph carries more initial tokens than the dense n×n matrix could
-/// ever hold in memory (the guard fires before any allocation happens).
-SymbolicIteration symbolic_iteration(const Graph& graph,
-                                     SymbolicEngine engine = SymbolicEngine::sparse);
+/// InconsistentGraphError / DeadlockError accordingly, and
+/// ResourceLimitError above kMaxSymbolicTokens initial tokens.  Stamps are
+/// sparse MpStamps (maxplus/stamp.hpp): a firing costs O(support of the
+/// consumed stamps) and multi-rate production pushes refcounted handles.
+SymbolicIteration symbolic_iteration(const Graph& graph);
+
+/// The dense reference: the same iteration with one full N-length MpVector
+/// per token, copied eagerly, in a loop of its own rather than the token-game
+/// executor, so the differential oracles and property tests that hold the
+/// two matrices equal compare independent implementations.
+SymbolicIteration symbolic_iteration_dense(const Graph& graph);
 
 /// Symbolically executes `iterations` iterations (the matrix power G^n with
 /// the row/column convention above, computed by direct execution order

@@ -515,8 +515,8 @@ Verdict run_symbolic_engines(const Graph& graph, const OracleLimits& limits) {
     if (graph.total_initial_tokens() > limits.max_tokens) {
         return Verdict::skip(kId, "token count above matrix limit");
     }
-    const SymbolicIteration sparse = symbolic_iteration(graph, SymbolicEngine::sparse);
-    const SymbolicIteration dense = symbolic_iteration(graph, SymbolicEngine::dense);
+    const SymbolicIteration sparse = symbolic_iteration(graph);
+    const SymbolicIteration dense = symbolic_iteration_dense(graph);
     std::vector<Disagreement> disagreements;
     if (!(sparse.matrix == dense.matrix)) {
         disagreements.push_back(disagree("iteration matrix", "sparse stamps",

@@ -8,7 +8,10 @@
 #include "base/errors.hpp"
 #include "csdf/analysis.hpp"
 #include "gen/random_sdf.hpp"
+#include "gen/structured.hpp"
+#include "robust/budget.hpp"
 #include "sdf/repetition.hpp"
+#include "transform/symbolic.hpp"
 
 namespace sdf {
 namespace {
@@ -155,6 +158,34 @@ TEST(CsdfAnalysis, ReducedHsdfPreservesPeriod) {
     EXPECT_LE(reduced.total_initial_tokens(), 3);
 }
 
+TEST(CsdfAnalysis, SymbolicIterationRefusesTokenCountsAboveTheGuard) {
+    // The SDF route's guard: refused up front, before a single per-token
+    // stamp is allocated.
+    CsdfGraph g("wide_selfloop");
+    const CsdfActorId a = g.add_actor("a", {1});
+    g.add_channel(a, a, {1}, {1}, kMaxSymbolicTokens + 1);
+    EXPECT_THROW(csdf_symbolic_iteration(g), ResourceLimitError);
+    EXPECT_THROW(csdf_throughput(g), ResourceLimitError);
+}
+
+TEST(CsdfAnalysis, ScheduleAndSymbolicIterationHonourStepBudget) {
+    const CsdfGraph g = csdf_from_sdf(fork_join_graph(256, 3));
+    const auto firings = csdf_sequential_schedule(g).size();
+    {
+        ExecutionBudget budget;
+        budget.max_steps = 5;
+        Governor governor(budget);
+        const GovernorScope scope(governor);
+        EXPECT_THROW(csdf_sequential_schedule(g), BudgetExceeded);
+    }
+    // Enough steps for the schedule, not for the symbolic firings after it.
+    ExecutionBudget budget;
+    budget.max_steps = firings + 5;
+    Governor governor(budget);
+    const GovernorScope scope(governor);
+    EXPECT_THROW(csdf_symbolic_iteration(g), BudgetExceeded);
+}
+
 class CsdfProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(CsdfProperty, SinglePhaseEmbeddingMatchesSdfAnalysis) {
@@ -164,6 +195,11 @@ TEST_P(CsdfProperty, SinglePhaseEmbeddingMatchesSdfAnalysis) {
     EXPECT_EQ(csdf_repetition(embedded), repetition_vector(g));
     const ThroughputResult sdf_result = throughput_symbolic(g);
     const CsdfThroughput csdf_result = csdf_throughput(embedded);
+    if (sdf_result.outcome != ThroughputOutcome::deadlocked) {
+        // The executor against the independent dense reference loop.
+        EXPECT_EQ(csdf_symbolic_iteration(embedded).matrix,
+                  symbolic_iteration_dense(g).matrix);
+    }
     if (sdf_result.is_finite()) {
         ASSERT_FALSE(csdf_result.deadlocked);
         ASSERT_FALSE(csdf_result.unbounded);

@@ -42,8 +42,8 @@ TEST(PerfKernelsProperty, SparseAndDenseSymbolicEnginesAgree) {
     std::mt19937 rng(20090426);  // DAC'09 vintage
     for (int round = 0; round < kRandomGraphs; ++round) {
         const Graph g = random_sdf(rng, varied_options(round));
-        const SymbolicIteration sparse = symbolic_iteration(g, SymbolicEngine::sparse);
-        const SymbolicIteration dense = symbolic_iteration(g, SymbolicEngine::dense);
+        const SymbolicIteration sparse = symbolic_iteration(g);
+        const SymbolicIteration dense = symbolic_iteration_dense(g);
         ASSERT_EQ(sparse.tokens.size(), dense.tokens.size()) << "round " << round;
         ASSERT_EQ(sparse.matrix, dense.matrix) << "round " << round;
     }
@@ -52,8 +52,7 @@ TEST(PerfKernelsProperty, SparseAndDenseSymbolicEnginesAgree) {
 TEST(PerfKernelsProperty, EnginesAgreeOnStructuredFamilies) {
     for (const Graph& g : {chain_graph({3, 1, 4, 1, 5}, 3), fork_join_graph(17, 5, 2),
                            ring_graph(9, 7, 2)}) {
-        EXPECT_EQ(symbolic_iteration(g, SymbolicEngine::sparse).matrix,
-                  symbolic_iteration(g, SymbolicEngine::dense).matrix);
+        EXPECT_EQ(symbolic_iteration(g).matrix, symbolic_iteration_dense(g).matrix);
     }
 }
 

@@ -149,8 +149,8 @@ TEST(Symbolic, DenseEngineMatchesSparseOnWorkedExample) {
     g.add_channel(left, left, 1, 1, 1);
     g.add_channel(left, right, 1, 2, 0);
     g.add_channel(right, right, 1, 1, 1);
-    const SymbolicIteration sparse = symbolic_iteration(g, SymbolicEngine::sparse);
-    const SymbolicIteration dense = symbolic_iteration(g, SymbolicEngine::dense);
+    const SymbolicIteration sparse = symbolic_iteration(g);
+    const SymbolicIteration dense = symbolic_iteration_dense(g);
     EXPECT_EQ(sparse.matrix, dense.matrix);
     EXPECT_EQ(sparse.tokens.size(), dense.tokens.size());
 }
