@@ -6,10 +6,11 @@
 // keeps all three as an IncrementalThroughputState so that an
 // execution-time edit costs
 //
-//   1. an integer REPLAY of the same schedule that reuses the old finish
-//      stamp of every firing the edit cannot reach (dirtiness propagates
-//      through consumed tokens and is cut off the moment a recomputed
-//      stamp equals the old one),
+//   1. a REPLAY of the edit's cone: the trace records which token every
+//      firing consumed, so only the firings the edit can reach recompute
+//      their finish stamp, and every other firing keeps its old one
+//      (dirtiness propagates through consumed tokens and is cut off the
+//      moment a recomputed stamp equals the old one),
 //   2. a support-aligned DIFF of the final token stamps against the old
 //      matrix columns (supports are invariant under pure timing edits —
 //      stamp supports are unions of consumed supports, values never enter),
@@ -39,10 +40,21 @@
 namespace sdf {
 
 /// The edit-invariant part of the warm state, shared across refinement
-/// generations: the schedule the trace executes, the (row,col) → precedence
-/// edge index, and the token count.  All invariant under timing edits.
+/// generations: the schedule the trace executes, where every consumed and
+/// every final token came from, the (row,col) → precedence edge index, and
+/// the token count.  All invariant under timing edits.
+///
+/// A token source is a firing index, or kInitial | k for initial token k.
 struct IncrementalSkeleton {
+    static constexpr std::uint32_t kInitial = std::uint32_t{1} << 31;
+
     std::vector<ActorId> schedule;
+    /// Firing i consumed the tokens from sources
+    /// input[input_start[i] .. input_start[i+1]].
+    std::vector<std::size_t> input_start;
+    std::vector<std::uint32_t> input;
+    /// The source of the token left at matrix column k after the iteration.
+    std::vector<std::uint32_t> column_source;
     /// (row << 32 | col) of a finite matrix entry → its precedence edge id.
     std::unordered_map<std::uint64_t, std::size_t> entry_edge;
     std::size_t token_count = 0;

@@ -53,6 +53,25 @@ Refined<ThroughputResult> ThroughputAnalysis::refine(const Result& old,
     return Out::drop();
 }
 
+namespace {
+
+ThroughputResult throughput_of(const Graph& graph, const SymbolicIteration& iteration) {
+    return throughput_from_metric(max_cycle_mean(iteration.matrix.precedence_graph()),
+                                  repetition_vector(graph));
+}
+
+}  // namespace
+
+ThroughputResult ThroughputAnalysis::compute(const Graph& graph) {
+    std::shared_ptr<const SymbolicIteration> iteration;
+    try {
+        iteration = graph.analyses()->get<SymbolicIterationAnalysis>(graph);
+    } catch (const DeadlockError&) {
+        return deadlocked_throughput(graph);
+    }
+    return throughput_of(graph, *iteration);
+}
+
 ThroughputResult throughput_symbolic(const Graph& graph) {
     SymbolicIteration iteration;
     try {
@@ -60,8 +79,7 @@ ThroughputResult throughput_symbolic(const Graph& graph) {
     } catch (const DeadlockError&) {
         return deadlocked_throughput(graph);
     }
-    return throughput_from_metric(max_cycle_mean(iteration.matrix.precedence_graph()),
-                                  repetition_vector(graph));
+    return throughput_of(graph, iteration);
 }
 
 ThroughputResult throughput_via_classic_hsdf(const Graph& graph) {

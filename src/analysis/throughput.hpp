@@ -70,7 +70,10 @@ ThroughputResult throughput_symbolic(const Graph& graph);
 
 /// AnalysisManager slot for route 1 (see sdf/analysis_manager.hpp): the
 /// pass pipeline and the verify-each hooks query throughput after every
-/// step, so the exact result is cached per graph.  Delta-aware at refine
+/// step, so the exact result is cached per graph.  compute() reads the
+/// matrix from the symbolic-iteration slot (transform/symbolic.hpp), which
+/// to_hsdf_reduced shares, and caches the deadlocked answer when that slot
+/// throws DeadlockError.  Delta-aware at refine
 /// phase 2: when the warm-state slot (analysis/incremental.hpp, phase 1)
 /// absorbed the edit, this slot forwards its refined result; a timing edit
 /// on a deadlocked graph keeps the zero answer outright; anything else
@@ -80,7 +83,7 @@ struct ThroughputAnalysis {
     static constexpr const char* kName = "throughput";
     static constexpr bool kTimeSensitive = true;
     static constexpr int kRefinePhase = 2;
-    static Result compute(const Graph& graph) { return throughput_symbolic(graph); }
+    static Result compute(const Graph& graph);
     static Refined<Result> refine(const Result& old, const RefineContext& ctx);
 };
 

@@ -22,6 +22,8 @@ struct DigraphEdge {
     std::size_t to = 0;
     Int weight = 0;  ///< e.g. execution time along the edge
     Int tokens = 0;  ///< e.g. initial tokens (delay) on the edge
+
+    friend bool operator==(const DigraphEdge&, const DigraphEdge&) = default;
 };
 
 /// Directed multigraph over dense node indices with int64 edge payloads.

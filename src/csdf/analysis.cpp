@@ -132,7 +132,7 @@ CsdfSymbolicIteration csdf_symbolic_iteration(const CsdfGraph& graph) {
         throw Error("internal: CSDF schedule does not fit one iteration");
     }
     CsdfSymbolicIteration result;
-    result.matrix = stamp_matrix(*columns);
+    result.matrix = MpSparseMatrix(*columns);
     result.token_count = static_cast<Int>(columns->size());
     return result;
 }

@@ -21,7 +21,7 @@
 
 #include "base/rational.hpp"
 #include "csdf/graph.hpp"
-#include "maxplus/matrix.hpp"
+#include "maxplus/sparse_matrix.hpp"
 #include "sdf/graph.hpp"
 
 namespace sdf {
@@ -61,7 +61,7 @@ bool csdf_is_live(const CsdfGraph& graph);
 /// ResourceLimitError above kMaxSymbolicTokens initial tokens, like the SDF
 /// route.
 struct CsdfSymbolicIteration {
-    MpMatrix matrix;
+    MpSparseMatrix matrix;
     Int token_count = 0;
 };
 CsdfSymbolicIteration csdf_symbolic_iteration(const CsdfGraph& graph);

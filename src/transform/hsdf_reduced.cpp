@@ -1,6 +1,5 @@
 #include "transform/hsdf_reduced.hpp"
 
-#include <optional>
 #include <vector>
 
 #include "base/errors.hpp"
@@ -8,34 +7,29 @@
 
 namespace sdf {
 
-Graph reduced_hsdf_from_matrix(const MpMatrix& matrix, const std::string& name,
+Graph reduced_hsdf_from_matrix(const MpSparseMatrix& matrix, const std::string& name,
                                const ReducedHsdfOptions& options) {
     require(matrix.rows() == matrix.cols(), "iteration matrix must be square");
     const std::size_t n = matrix.rows();
+    const std::vector<std::size_t>& col_ptr = matrix.col_ptr();
+    const std::vector<Int>& value = matrix.values();
+    // Finite entries per row (fan-out of old token j), in column order;
+    // column k's entries (fan-in of new token k) are CSC positions
+    // col_ptr[k] .. col_ptr[k+1].
+    const MpSparseMatrix::RowMajor rows = matrix.row_major();
+    const auto row_size = [&](std::size_t j) { return rows.row_ptr[j + 1] - rows.row_ptr[j]; };
+    const auto col_size = [&](std::size_t k) { return col_ptr[k + 1] - col_ptr[k]; };
     Graph graph(name);
 
     constexpr ActorId kNone = static_cast<ActorId>(-1);
 
-    // Finite entries per row (fan-out of old token j) and per column
-    // (fan-in of new token k).
-    std::vector<std::vector<std::size_t>> row_clients(n);  // k's with G(j,k) finite
-    std::vector<std::vector<std::size_t>> col_sources(n);  // j's with G(j,k) finite
+    // Matrix actors, row-major; cell[e] is the actor of CSC entry e.
+    std::vector<ActorId> cell(matrix.finite_entry_count(), kNone);
     for (std::size_t j = 0; j < n; ++j) {
-        for (std::size_t k = 0; k < n; ++k) {
-            if (matrix.at(j, k).is_finite()) {
-                row_clients[j].push_back(k);
-                col_sources[k].push_back(j);
-            }
-        }
-    }
-
-    // Matrix actors.
-    std::vector<std::vector<ActorId>> cell(n, std::vector<ActorId>(n, kNone));
-    for (std::size_t j = 0; j < n; ++j) {
-        for (std::size_t k : row_clients[j]) {
-            cell[j][k] = graph.add_actor(
-                "g_" + std::to_string(j) + "_" + std::to_string(k),
-                matrix.at(j, k).value());
+        for (std::size_t i = rows.row_ptr[j]; i < rows.row_ptr[j + 1]; ++i) {
+            const std::size_t e = rows.entry[i];
+            cell[e] = graph.add_actor(
+                "g_" + std::to_string(j) + "_" + std::to_string(rows.col[i]), value[e]);
         }
     }
 
@@ -43,42 +37,36 @@ Graph reduced_hsdf_from_matrix(const MpMatrix& matrix, const std::string& name,
     // token j (or unconditionally when elision is off and the row is used).
     std::vector<ActorId> demux(n, kNone);
     for (std::size_t j = 0; j < n; ++j) {
-        const bool needed = options.elide_single_client_muxes
-                                ? row_clients[j].size() > 1
-                                : !row_clients[j].empty();
+        const bool needed =
+            options.elide_single_client_muxes ? row_size(j) > 1 : row_size(j) > 0;
         if (needed) {
             demux[j] = graph.add_actor("dmx_" + std::to_string(j), 0);
-            for (const std::size_t k : row_clients[j]) {
-                graph.add_channel(demux[j], cell[j][k], 0);
+            for (std::size_t i = rows.row_ptr[j]; i < rows.row_ptr[j + 1]; ++i) {
+                graph.add_channel(demux[j], cell[rows.entry[i]], 0);
             }
         }
     }
 
     // Mux actor of column k: needed when more than one matrix actor must
     // synchronise to produce token k.
-    std::vector<ActorId> mux(n, kNone);
     std::vector<ActorId> producer(n, kNone);  // node that emits new token k
     for (std::size_t k = 0; k < n; ++k) {
-        const bool needed = options.elide_single_client_muxes
-                                ? col_sources[k].size() > 1
-                                : !col_sources[k].empty();
+        const bool needed =
+            options.elide_single_client_muxes ? col_size(k) > 1 : col_size(k) > 0;
         if (needed) {
-            mux[k] = graph.add_actor("mux_" + std::to_string(k), 0);
-            for (const std::size_t j : col_sources[k]) {
-                graph.add_channel(cell[j][k], mux[k], 0);
+            producer[k] = graph.add_actor("mux_" + std::to_string(k), 0);
+            for (std::size_t e = col_ptr[k]; e < col_ptr[k + 1]; ++e) {
+                graph.add_channel(cell[e], producer[k], 0);
             }
-            producer[k] = mux[k];
-        } else if (col_sources[k].size() == 1) {
-            producer[k] = cell[col_sources[k][0]][k];
-        } else {
+        } else if (col_size(k) == 1) {
+            producer[k] = cell[col_ptr[k]];
+        } else if (row_size(k) > 0) {
             // Column k is all −∞: the new token depends on no initial token
             // and is available immediately each iteration.  A zero-time
             // actor recycling its own token models the unconstrained source
             // (only required when somebody consumes token k).
-            if (!row_clients[k].empty()) {
-                producer[k] = graph.add_actor("src_" + std::to_string(k), 0);
-                graph.add_channel(producer[k], producer[k], 1);
-            }
+            producer[k] = graph.add_actor("src_" + std::to_string(k), 0);
+            graph.add_channel(producer[k], producer[k], 1);
         }
     }
 
@@ -90,8 +78,8 @@ Graph reduced_hsdf_from_matrix(const MpMatrix& matrix, const std::string& name,
         }
         if (demux[k] != kNone) {
             graph.add_channel(producer[k], demux[k], 1);
-        } else if (row_clients[k].size() == 1) {
-            graph.add_channel(producer[k], cell[k][row_clients[k][0]], 1);
+        } else if (row_size(k) == 1) {
+            graph.add_channel(producer[k], cell[rows.entry[rows.row_ptr[k]]], 1);
         }
         // Row k all −∞ and not a src_ self-loop: the token is reproduced
         // every iteration but constrains nothing; it can be dropped without
@@ -100,9 +88,15 @@ Graph reduced_hsdf_from_matrix(const MpMatrix& matrix, const std::string& name,
     return graph;
 }
 
+Graph reduced_hsdf_from_matrix(const MpMatrix& matrix, const std::string& name,
+                               const ReducedHsdfOptions& options) {
+    require(matrix.rows() == matrix.cols(), "iteration matrix must be square");
+    return reduced_hsdf_from_matrix(MpSparseMatrix::from_dense(matrix), name, options);
+}
+
 Graph to_hsdf_reduced(const Graph& graph, const ReducedHsdfOptions& options) {
-    const SymbolicIteration iteration = symbolic_iteration(graph);
-    return reduced_hsdf_from_matrix(iteration.matrix, graph.name() + "_rhsdf", options);
+    const auto iteration = graph.analyses()->get<SymbolicIterationAnalysis>(graph);
+    return reduced_hsdf_from_matrix(iteration->matrix, graph.name() + "_rhsdf", options);
 }
 
 }  // namespace sdf

@@ -28,6 +28,7 @@
 #include <string>
 
 #include "maxplus/matrix.hpp"
+#include "maxplus/sparse_matrix.hpp"
 #include "sdf/graph.hpp"
 
 namespace sdf {
@@ -39,13 +40,23 @@ struct ReducedHsdfOptions {
     bool elide_single_client_muxes = true;
 };
 
-/// Builds the Figure 4 HSDF graph from an iteration matrix.  Actor names:
-/// "g_<j>_<k>" for matrix actors, "mux_<k>" / "dmx_<j>" for the
-/// (de)multiplexers, "src_<k>" for tokens that depend on no initial token.
+/// Builds the Figure 4 HSDF graph from an iteration matrix, in
+/// O(N + nnz): it walks only the finite entries.  Actor names: "g_<j>_<k>"
+/// for matrix actors, "mux_<k>" / "dmx_<j>" for the (de)multiplexers,
+/// "src_<k>" for tokens that depend on no initial token.  Matrix actors
+/// come in row-major order, then the demuxes, the muxes and src_ actors by
+/// column, then the token edges — the text is stable across routes.
+Graph reduced_hsdf_from_matrix(const MpSparseMatrix& matrix, const std::string& name,
+                               const ReducedHsdfOptions& options = {});
+
+/// The same construction from a dense matrix (hand-built matrices, the
+/// scenario envelope): checks squareness, converts, delegates.
 Graph reduced_hsdf_from_matrix(const MpMatrix& matrix, const std::string& name,
                                const ReducedHsdfOptions& options = {});
 
-/// Convenience: symbolic iteration + matrix-to-graph construction.
+/// Convenience: the graph's symbolic-iteration slot (symbolic.hpp) +
+/// matrix-to-graph construction.  After cached_throughput(graph) the token
+/// game is not played again.
 Graph to_hsdf_reduced(const Graph& graph, const ReducedHsdfOptions& options = {});
 
 }  // namespace sdf

@@ -15,6 +15,7 @@ ScenarioAnalysis analyse_scenarios(const std::vector<Scenario>& scenarios) {
     std::size_t token_count = 0;
     for (std::size_t s = 0; s < scenarios.size(); ++s) {
         const SymbolicIteration iteration = symbolic_iteration(scenarios[s].graph);
+        const MpMatrix matrix = iteration.matrix.to_dense();
         if (s == 0) {
             token_count = iteration.tokens.size();
             result.envelope = MpMatrix(token_count, token_count);
@@ -32,11 +33,10 @@ ScenarioAnalysis analyse_scenarios(const std::vector<Scenario>& scenarios) {
         result.periods.push_back(metric.value);
         for (std::size_t j = 0; j < token_count; ++j) {
             for (std::size_t k = 0; k < token_count; ++k) {
-                result.envelope.set(
-                    j, k, mp_max(result.envelope.at(j, k), iteration.matrix.at(j, k)));
+                result.envelope.set(j, k, mp_max(result.envelope.at(j, k), matrix.at(j, k)));
             }
         }
-        result.matrices.push_back(iteration.matrix);
+        result.matrices.push_back(matrix);
     }
     // Worst case over arbitrary switching: MCM of the union of all
     // precedence graphs — every mixed cycle is realisable by scheduling,

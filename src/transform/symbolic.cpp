@@ -68,26 +68,16 @@ MpMatrix run_dense(const Graph& graph, const std::vector<ActorId>& schedule,
 }  // namespace
 
 void require_symbolic_token_count(Int token_count) {
-    // Refuse up front when the matrix could not possibly be materialised —
-    // e.g. the bundled overflow stress model carries ~1e12 tokens, which
-    // would churn through per-token fifo allocations for minutes before
-    // dying on a multi-terabyte matrix.
+    // Refuse up front — e.g. the bundled overflow stress model carries
+    // ~1e12 tokens, which would churn through per-token fifo allocations
+    // for minutes before anything else could fail.
     if (token_count > kMaxSymbolicTokens) {
         throw ResourceLimitError(
-            "symbolic iteration needs a dense " + std::to_string(token_count) +
-                    "^2 max-plus matrix over the initial tokens; refusing above " +
+            "symbolic iteration over " + std::to_string(token_count) +
+                    " initial tokens; refusing above " +
                     std::to_string(kMaxSymbolicTokens) +
                     " tokens (model large token counts as scaled rates instead)");
     }
-}
-
-MpMatrix stamp_matrix(const std::vector<MpStamp>& columns) {
-    MpMatrix matrix(columns.size(), columns.size());
-    for (std::size_t col = 0; col < columns.size(); ++col) {
-        columns[col].for_each(
-            [&](std::size_t row, Int value) { matrix.set(row, col, MpValue(value)); });
-    }
-    return matrix;
 }
 
 SymbolicIteration symbolic_iteration(const Graph& graph) {
@@ -101,15 +91,15 @@ SymbolicIteration symbolic_iteration(const Graph& graph) {
         throw Error("internal: admissible schedule does not fit one iteration");
     }
     SymbolicIteration result;
-    result.matrix = stamp_matrix(*columns);
+    result.matrix = MpSparseMatrix(*columns);
     result.tokens = initial_tokens(graph);
     return result;
 }
 
-SymbolicIteration symbolic_iteration_dense(const Graph& graph) {
+DenseSymbolicIteration symbolic_iteration_dense(const Graph& graph) {
     const std::vector<ActorId> schedule = sequential_schedule(graph);
     require_symbolic_token_count(graph.total_initial_tokens());
-    SymbolicIteration result;
+    DenseSymbolicIteration result;
     result.tokens = initial_tokens(graph);
     result.matrix = run_dense(graph, schedule, result.tokens.size());
     return result;
@@ -124,14 +114,14 @@ MpMatrix symbolic_iteration_power(const Graph& graph, Int iterations) {
         sequential_schedule(graph);
         return MpMatrix::identity(initial_tokens(graph).size());
     }
-    const SymbolicIteration one = symbolic_iteration(graph);
+    const MpMatrix one = symbolic_iteration(graph).matrix.to_dense();
     if (iterations == 1) {
-        return one.matrix;
+        return one;
     }
     // With columns-as-new-tokens, composing iterations means
     // G_n(j,k) = max_m ( G_1(j,m) + G_{n-1}(m,k) ), i.e. G_1 ⊗ G_{n-1} in
     // row-major max-plus product order.
-    return one.matrix.power(iterations);
+    return one.power(iterations);
 }
 
 }  // namespace sdf

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "maxplus/matrix.hpp"
+#include "maxplus/sparse_matrix.hpp"
 #include "sdf/graph.hpp"
 #include "sdf/properties.hpp"
 
@@ -34,14 +35,25 @@ namespace sdf {
 struct SymbolicIteration {
     /// Row j / column k: the minimum distance G(j,k) that new token k must
     /// keep to the previous production time of token j (−∞: no dependency).
-    MpMatrix matrix;
+    /// Only the finite entries are stored (compressed sparse columns);
+    /// matrix.to_dense() builds the dense copy for dense algebra.
+    MpSparseMatrix matrix;
     /// The initial tokens, in matrix row/column order.
     std::vector<TokenRef> tokens;
 };
 
+/// symbolic_iteration_dense's result: the same iteration, dense.
+struct DenseSymbolicIteration {
+    MpMatrix matrix;
+    std::vector<TokenRef> tokens;
+};
+
 /// The largest initial-token count a symbolic iteration accepts.  The
-/// iteration matrix is dense n×n over the initial tokens, and 16384² entries
-/// is a 4 GiB matrix, already far past every practical model (lint rule
+/// production routes keep the matrix sparse, so the guard no longer sizes
+/// a matrix that must fit; it bounds the per-token FIFO work of the token
+/// game and the dense consumers a caller may still reach (to_dense() for
+/// power, closure and eigen, and the dense reference loop), where 16384²
+/// entries is a 2 GiB matrix — far past every practical model (lint rule
 /// SDF009 warns much earlier).  The SDF, warm-state and CSDF routes all
 /// refuse above it with ResourceLimitError, before allocating anything.
 inline constexpr Int kMaxSymbolicTokens = 16384;
@@ -52,13 +64,28 @@ inline constexpr Int kMaxSymbolicTokens = 16384;
 /// ResourceLimitError above kMaxSymbolicTokens initial tokens.  Stamps are
 /// sparse MpStamps (maxplus/stamp.hpp): a firing costs O(support of the
 /// consumed stamps) and multi-rate production pushes refcounted handles.
+/// The final stamps become the CSC columns as they are, in O(N + nnz).
+/// Uncached; SymbolicIterationAnalysis is the per-graph slot.
 SymbolicIteration symbolic_iteration(const Graph& graph);
+
+/// AnalysisManager slot (sdf/analysis_manager.hpp) holding one
+/// symbolic_iteration per graph, so the throughput slot and to_hsdf_reduced
+/// share one token game.  Time-sensitive with no refine hook: any edit
+/// drops it, and no pass declares it preserved (prune and retiming change
+/// the token set the matrix is indexed by).  A deadlock propagates as
+/// DeadlockError and caches nothing.
+struct SymbolicIterationAnalysis {
+    using Result = SymbolicIteration;
+    static constexpr const char* kName = "symbolic-iteration";
+    static constexpr bool kTimeSensitive = true;
+    static Result compute(const Graph& graph) { return symbolic_iteration(graph); }
+};
 
 /// The dense reference: the same iteration with one full N-length MpVector
 /// per token, copied eagerly, in a loop of its own rather than the token-game
 /// executor, so the differential oracles and property tests that hold the
 /// two matrices equal compare independent implementations.
-SymbolicIteration symbolic_iteration_dense(const Graph& graph);
+DenseSymbolicIteration symbolic_iteration_dense(const Graph& graph);
 
 /// Symbolically executes `iterations` iterations (the matrix power G^n with
 /// the row/column convention above, computed by direct execution order

@@ -516,19 +516,31 @@ Verdict run_symbolic_engines(const Graph& graph, const OracleLimits& limits) {
         return Verdict::skip(kId, "token count above matrix limit");
     }
     const SymbolicIteration sparse = symbolic_iteration(graph);
-    const SymbolicIteration dense = symbolic_iteration_dense(graph);
+    const DenseSymbolicIteration dense = symbolic_iteration_dense(graph);
+    const MpMatrix matrix = sparse.matrix.to_dense();
     std::vector<Disagreement> disagreements;
-    if (!(sparse.matrix == dense.matrix)) {
+    if (!(matrix == dense.matrix)) {
         disagreements.push_back(disagree("iteration matrix", "sparse stamps",
                                          "matrix differs", "dense vectors",
                                          "matrix differs"));
+    }
+    // The CSC precedence graph (counting sort by row) against the dense
+    // N² scan, edge for edge: Howard's policy and the certificate
+    // witnesses depend on the edge order, not only on the edge set.
+    const Digraph precedence = sparse.matrix.precedence_graph();
+    const Digraph dense_precedence = dense.matrix.precedence_graph();
+    if (precedence.node_count() != dense_precedence.node_count() ||
+        precedence.edges() != dense_precedence.edges()) {
+        disagreements.push_back(disagree("precedence graph", "sparse columns",
+                                         "edge list differs", "dense scan",
+                                         "edge list differs"));
     }
     // Kernel sweep: the checked blocked kernel and, per supported ISA tier,
     // the dispatched SIMD multiply must all reproduce the naive reference on
     // every mutated graph — this is the fuzzer's eye on the unchecked SIMD
     // fast path and its safe-magnitude routing.
-    const MpMatrix naive = sparse.matrix.multiply_naive(sparse.matrix);
-    if (!(sparse.matrix.multiply_checked(sparse.matrix) == naive)) {
+    const MpMatrix naive = matrix.multiply_naive(matrix);
+    if (!(matrix.multiply_checked(matrix) == naive)) {
         disagreements.push_back(disagree("G*G", "checked blocked multiply",
                                          "matrix differs", "naive multiply",
                                          "matrix differs"));
@@ -536,7 +548,7 @@ Verdict run_symbolic_engines(const Graph& graph, const OracleLimits& limits) {
     const IsaTier entry_tier = active_isa_tier();
     for (const IsaTier tier : supported_isa_tiers()) {
         set_active_isa_tier(tier);
-        if (!(sparse.matrix.multiply(sparse.matrix) == naive)) {
+        if (!(matrix.multiply(matrix) == naive)) {
             disagreements.push_back(disagree(
                 "G*G", std::string("simd multiply (") + isa_tier_name(tier) + ")",
                 "matrix differs", "naive multiply", "matrix differs"));
@@ -546,7 +558,6 @@ Verdict run_symbolic_engines(const Graph& graph, const OracleLimits& limits) {
     // Max-cycle solver: Howard's mean, bare and certified, must reproduce
     // the Karp reference bit for bit, with a held certificate on every
     // cyclic SCC; its ratio mode on the classic HSDF must reach the same λ.
-    const Digraph precedence = sparse.matrix.precedence_graph();
     const CycleMetric karp = max_cycle_mean_karp(precedence);
     const McmCertificate certified = max_cycle_mean_certified(precedence);
     const auto metric_text = [](const CycleMetric& m) {

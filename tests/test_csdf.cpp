@@ -196,9 +196,12 @@ TEST_P(CsdfProperty, SinglePhaseEmbeddingMatchesSdfAnalysis) {
     const ThroughputResult sdf_result = throughput_symbolic(g);
     const CsdfThroughput csdf_result = csdf_throughput(embedded);
     if (sdf_result.outcome != ThroughputOutcome::deadlocked) {
-        // The executor against the independent dense reference loop.
-        EXPECT_EQ(csdf_symbolic_iteration(embedded).matrix,
-                  symbolic_iteration_dense(g).matrix);
+        // The executor against the independent dense reference loop:
+        // the matrix, and the precedence graph edge for edge.
+        const MpSparseMatrix sparse = csdf_symbolic_iteration(embedded).matrix;
+        const MpMatrix dense = symbolic_iteration_dense(g).matrix;
+        EXPECT_EQ(sparse.to_dense(), dense);
+        EXPECT_EQ(sparse.precedence_graph().edges(), dense.precedence_graph().edges());
     }
     if (sdf_result.is_finite()) {
         ASSERT_FALSE(csdf_result.deadlocked);

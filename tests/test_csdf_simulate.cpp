@@ -104,12 +104,13 @@ TEST_P(CsdfSimulateProperty, MakespanEqualsMatrixPowerMaxEntry) {
         return;
     }
     const CsdfSymbolicIteration it = csdf_symbolic_iteration(split);
-    MpMatrix power = it.matrix;
+    const MpMatrix one = it.matrix.to_dense();
+    MpMatrix power = one;
     for (const Int k : {1, 2, 3}) {
         const CsdfFiniteRun run = csdf_simulate_iterations(split, k);
         ASSERT_TRUE(power.max_entry().is_finite());
         EXPECT_EQ(run.makespan, power.max_entry().value()) << "k=" << k;
-        power = power.multiply(it.matrix);
+        power = power.multiply(one);
     }
 }
 

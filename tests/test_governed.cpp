@@ -18,12 +18,14 @@
 #include "analysis/throughput.hpp"
 #include "base/errors.hpp"
 #include "gen/random_sdf.hpp"
+#include "gen/structured.hpp"
 #include "io/text.hpp"
 #include "io/xml.hpp"
 #include "robust/budget.hpp"
 #include "robust/fault.hpp"
 #include "sdf/simulate.hpp"
 #include "transform/hsdf_classic.hpp"
+#include "transform/hsdf_reduced.hpp"
 #include "transform/unfold.hpp"
 #include "verify/oracles.hpp"
 
@@ -199,6 +201,25 @@ TEST(Governed, SymbolicRouteHonoursStepBudget) {
     Governor governor(budget);
     const GovernorScope scope(governor);
     EXPECT_THROW(throughput_symbolic(g), BudgetExceeded);
+}
+
+TEST(Governed, SparseIterationMatrixFitsAMemoryBudget) {
+    // 8003 initial tokens: a dense int64 iteration matrix alone would be
+    // 512 MB.  The symbolic route and the reduced conversion keep it
+    // sparse (~40k finite entries), so a 64 MB budget is plenty.
+    const Graph g = fork_join_graph(8000, 3);
+    const ThroughputResult reference = throughput_via_classic_hsdf(g);
+    ExecutionBudget budget;
+    budget.max_bytes = std::uint64_t{64} << 20;
+    Governor governor(budget);
+    const GovernorScope scope(governor);
+    const ThroughputResult symbolic = throughput_symbolic(g);
+    const Graph reduced = to_hsdf_reduced(g);
+    ASSERT_TRUE(reference.is_finite());
+    ASSERT_TRUE(symbolic.is_finite());
+    EXPECT_EQ(symbolic.period, reference.period);
+    EXPECT_GT(reduced.actor_count(), 0u);
+    EXPECT_LT(governor.usage().accounted_bytes, *budget.max_bytes);
 }
 
 // ---- The degradation ladder --------------------------------------------

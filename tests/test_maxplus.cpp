@@ -1,8 +1,11 @@
-// Unit tests for maxplus/value.hpp, vector.hpp and matrix.hpp.
+// Unit tests for maxplus/value.hpp, vector.hpp, matrix.hpp and
+// sparse_matrix.hpp.
 #include <gtest/gtest.h>
 
 #include "base/errors.hpp"
 #include "maxplus/matrix.hpp"
+#include "maxplus/sparse_matrix.hpp"
+#include "robust/budget.hpp"
 
 namespace sdf {
 namespace {
@@ -139,6 +142,71 @@ TEST(MpMatrix, MaxEntry) {
     m.set(1, 0, MpValue(-3));
     m.set(0, 1, MpValue(9));
     EXPECT_EQ(m.max_entry(), MpValue(9));
+}
+
+/// Columns {0: 2, 2: 7}, {}, {0: -1, 1: 4}: one empty column, one row
+/// (1) with a single entry, one row (0) read by two columns.
+MpSparseMatrix sample_csc() {
+    return MpSparseMatrix({MpStamp::from_entries({{0, 2}, {2, 7}}), MpStamp{},
+                           MpStamp::from_entries({{0, -1}, {1, 4}})});
+}
+
+TEST(MpSparseMatrix, StoresOnlyFiniteEntriesByColumn) {
+    const MpSparseMatrix m = sample_csc();
+    EXPECT_EQ(m.rows(), 3u);
+    EXPECT_EQ(m.cols(), 3u);
+    EXPECT_EQ(m.finite_entry_count(), 4u);
+    EXPECT_DOUBLE_EQ(m.density(), 4.0 / 9.0);
+    EXPECT_EQ(m.col_ptr(), (std::vector<std::size_t>{0, 2, 2, 4}));
+    EXPECT_EQ(m.row_index(), (std::vector<std::uint32_t>{0, 2, 0, 1}));
+    EXPECT_EQ(m.values(), (std::vector<Int>{2, 7, -1, 4}));
+    EXPECT_EQ(m.at(2, 0), MpValue(7));
+    EXPECT_EQ(m.at(1, 0), MpValue::minus_infinity());
+    EXPECT_EQ(m.at(0, 1), MpValue::minus_infinity());
+    EXPECT_EQ(m.column(2), m.to_dense().column(2));
+}
+
+TEST(MpSparseMatrix, DenseRoundTrip) {
+    const MpSparseMatrix m = sample_csc();
+    const MpMatrix dense = m.to_dense();
+    EXPECT_EQ(dense.at(0, 2), MpValue(-1));
+    EXPECT_EQ(dense.finite_entry_count(), 4u);
+    EXPECT_EQ(MpSparseMatrix::from_dense(dense), m);
+    EXPECT_EQ(m.to_string(), dense.to_string());
+    EXPECT_EQ(MpSparseMatrix(std::vector<MpStamp>{}), MpSparseMatrix());
+    EXPECT_EQ(MpSparseMatrix().to_dense(), MpMatrix());
+}
+
+TEST(MpSparseMatrix, RowMajorOrderIsTheDenseScanOrder) {
+    const MpSparseMatrix::RowMajor order = sample_csc().row_major();
+    EXPECT_EQ(order.row_ptr, (std::vector<std::size_t>{0, 2, 3, 4}));
+    EXPECT_EQ(order.col, (std::vector<std::size_t>{0, 2, 2, 0}));
+    EXPECT_EQ(order.entry, (std::vector<std::size_t>{0, 2, 3, 1}));
+}
+
+TEST(MpSparseMatrix, PrecedenceGraphMatchesTheDenseOneEdgeForEdge) {
+    const MpSparseMatrix m = sample_csc();
+    const Digraph sparse = m.precedence_graph();
+    const Digraph dense = m.to_dense().precedence_graph();
+    EXPECT_EQ(sparse.node_count(), dense.node_count());
+    EXPECT_EQ(sparse.edges(), dense.edges());
+    EXPECT_THROW((void)MpSparseMatrix::from_dense(MpMatrix(2, 3)).precedence_graph(),
+                 ArithmeticError);
+}
+
+TEST(MpSparseMatrix, RejectsSupportOutsideTheMatrix) {
+    EXPECT_THROW(MpSparseMatrix({MpStamp::unit(1)}), ArithmeticError);
+}
+
+TEST(MpSparseMatrix, ChargesItsArraysToTheMemoryBudget) {
+    ExecutionBudget budget;
+    budget.max_bytes = 1u << 20;
+    Governor governor(budget);
+    const GovernorScope scope(governor);
+    const MpSparseMatrix m = sample_csc();
+    // Four offsets plus four (row, value) entries, in one charge.
+    EXPECT_EQ(governor.usage().accounted_bytes,
+              4 * sizeof(std::size_t) + 4 * (sizeof(std::uint32_t) + sizeof(Int)));
 }
 
 }  // namespace

@@ -43,16 +43,24 @@ TEST(PerfKernelsProperty, SparseAndDenseSymbolicEnginesAgree) {
     for (int round = 0; round < kRandomGraphs; ++round) {
         const Graph g = random_sdf(rng, varied_options(round));
         const SymbolicIteration sparse = symbolic_iteration(g);
-        const SymbolicIteration dense = symbolic_iteration_dense(g);
+        const DenseSymbolicIteration dense = symbolic_iteration_dense(g);
         ASSERT_EQ(sparse.tokens.size(), dense.tokens.size()) << "round " << round;
-        ASSERT_EQ(sparse.matrix, dense.matrix) << "round " << round;
+        ASSERT_EQ(sparse.matrix.to_dense(), dense.matrix) << "round " << round;
+        // Edge for edge, in order: Howard and the certificate see this list.
+        ASSERT_EQ(sparse.matrix.precedence_graph().edges(),
+                  dense.matrix.precedence_graph().edges())
+            << "round " << round;
     }
 }
 
 TEST(PerfKernelsProperty, EnginesAgreeOnStructuredFamilies) {
     for (const Graph& g : {chain_graph({3, 1, 4, 1, 5}, 3), fork_join_graph(17, 5, 2),
                            ring_graph(9, 7, 2)}) {
-        EXPECT_EQ(symbolic_iteration(g).matrix, symbolic_iteration_dense(g).matrix);
+        const MpSparseMatrix sparse = symbolic_iteration(g).matrix;
+        const MpMatrix dense = symbolic_iteration_dense(g).matrix;
+        EXPECT_EQ(sparse.to_dense(), dense);
+        EXPECT_EQ(sparse.precedence_graph().edges(), dense.precedence_graph().edges());
+        EXPECT_EQ(MpSparseMatrix::from_dense(dense), sparse);
     }
 }
 
@@ -60,7 +68,7 @@ TEST(PerfKernelsProperty, BlockedMultiplyMatchesNaiveOnIterationMatrices) {
     std::mt19937 rng(71830);
     for (int round = 0; round < kRandomGraphs; ++round) {
         const Graph g = random_sdf(rng, varied_options(round));
-        const MpMatrix m = symbolic_iteration(g).matrix;
+        const MpMatrix m = symbolic_iteration(g).matrix.to_dense();
         ASSERT_EQ(m.multiply(m), m.multiply_naive(m)) << "round " << round;
     }
 }
@@ -101,7 +109,7 @@ TEST(PerfKernelsProperty, BlockedMultiplyCrossesColumnBlockBoundary) {
     // The blocked kernel tiles columns in blocks of 512; a 1030-column
     // product exercises the partial last block and block seams.
     const Graph g = fork_join_graph(1024, 5, 4);
-    const MpMatrix m = symbolic_iteration(g).matrix;
+    const MpMatrix m = symbolic_iteration(g).matrix.to_dense();
     EXPECT_EQ(m.multiply(m), m.multiply_naive(m));
 }
 
@@ -109,7 +117,7 @@ TEST(PerfKernelsProperty, PowerComposesLikeRepeatedMultiplication) {
     std::mt19937 rng(1618);
     for (int round = 0; round < 40; ++round) {
         const Graph g = random_sdf(rng, varied_options(round));
-        const MpMatrix m = symbolic_iteration(g).matrix;
+        const MpMatrix m = symbolic_iteration(g).matrix.to_dense();
         EXPECT_EQ(m.power(0), MpMatrix::identity(m.rows())) << "round " << round;
         EXPECT_EQ(m.power(1), m) << "round " << round;
         EXPECT_EQ(m.power(2), m.multiply_naive(m)) << "round " << round;
@@ -123,7 +131,7 @@ TEST(PerfKernelsProperty, SymbolicPowerMatchesMatrixPower) {
     std::mt19937 rng(3141);
     for (int round = 0; round < 25; ++round) {
         const Graph g = random_sdf(rng, varied_options(round));
-        const MpMatrix one = symbolic_iteration(g).matrix;
+        const MpMatrix one = symbolic_iteration(g).matrix.to_dense();
         EXPECT_EQ(symbolic_iteration_power(g, 0), MpMatrix::identity(one.rows()));
         EXPECT_EQ(symbolic_iteration_power(g, 1), one);
         EXPECT_EQ(symbolic_iteration_power(g, 3), one.power(3));
