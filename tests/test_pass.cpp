@@ -248,6 +248,19 @@ TEST(PipelineExecutor, RetimingCarriesTheFullThroughputResult) {
     }
 }
 
+TEST(PipelineExecutor, RetimingDropsTheSymbolicIteration) {
+    // Both tokens on one edge of the ring: retiming spreads them, so the
+    // iteration matrix (indexed by the tokens) must not cross the rewrite.
+    Graph g = ring(4, 2);
+    g.set_initial_tokens(0, 2);
+    (void)cached_throughput(g);
+    ASSERT_TRUE(g.analyses()->has("symbolic-iteration"));
+    const PipelineRun run = PipelineExecutor().run(parse_pipeline("retiming"), g);
+    ASSERT_TRUE(run.reports[0].changed);
+    EXPECT_FALSE(run.graph.analyses()->has("symbolic-iteration"));
+    EXPECT_EQ(cached_throughput(run.graph)->period, cached_throughput(g)->period);
+}
+
 TEST(PipelineExecutor, UnchangedPassKeepsTheWholeCache) {
     Graph g = add_self_loops(multirate(), 1);
     repetition_vector(g);
