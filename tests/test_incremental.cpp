@@ -179,6 +179,24 @@ TEST(Refinement, TimingEditRefinesThroughputBitExact) {
     EXPECT_EQ(forwarded->period, cold.period);
 }
 
+TEST(Refinement, TooManyConsumedTokensKeepsNoWarmState) {
+    // x fires 65536 times (well under the firing cap) but each firing takes
+    // 64 tokens from its self-loop: 65536·65 consumed tokens per iteration,
+    // above the 2^22 the warm trace records, from only 64 initial tokens.
+    Graph g("heavy_self_loop");
+    const ActorId x = g.add_actor("x", 1);
+    const ActorId y = g.add_actor("y", 2);
+    g.add_channel(x, x, 64, 64, 64);
+    g.add_channel(x, y, 1, 65536, 0);
+    const auto warm = warm_throughput(g);
+    ASSERT_NE(warm, nullptr);
+    EXPECT_EQ(warm->state, nullptr);  // too big to keep warm: no trace
+    const ThroughputResult reference = throughput_symbolic(rebuild_cold(g));
+    EXPECT_EQ(warm->result.outcome, reference.outcome);
+    EXPECT_EQ(warm->result.period, reference.period);
+    EXPECT_EQ(warm->result.per_actor, reference.per_actor);
+}
+
 TEST(Refinement, EditChainStaysExactAndCountsRefines) {
     Graph g = fork_join_graph(8, 5, 2);
     const auto warm = warm_throughput(g);
