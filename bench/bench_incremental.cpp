@@ -1,15 +1,18 @@
 // bench_incremental — the delta-refinement payoff: one execution-time edit
 // on a warm graph versus a from-scratch throughput solve.
 //
-// The warm path goes through the mutation protocol end to end: Graph copy
-// (shares the warm AnalysisManager), set_execution_time (records the
-// MutationEvent and refines a fresh manager), and the refined
-// IncrementalThroughputAnalysis result — i.e. exactly what one `edit`
-// request costs inside `sdfred serve`.  The baseline is throughput_symbolic
-// on the same edited graph, bypassing every cache.
+// The warm path goes through the mutation protocol end to end on a parent
+// primed only by warm_throughput: Graph copy (shares the warm
+// AnalysisManager), set_execution_time (refines a fresh manager through
+// the MutationEvent), and the answer read through cached_throughput on the
+// child — i.e. exactly what one `edit` request with `then: throughput`
+// costs inside `sdfred serve`.  The baseline is throughput_symbolic on the
+// same edited graph, bypassing every cache.
 //
-// Bit-exactness is checked on every repetition (refined period and
-// per-actor vector must equal the cold solve, Rational for Rational); any
+// Bit-exactness is checked on every repetition (the edited answer's period
+// and per-actor vector must equal the cold solve, Rational for Rational), and
+// so is its source: the answer must be the refined warm slot's result, not a
+// cold fallback.  An edit that leaves no refined warm slot, a fallback or a
 // divergence exits 1.  The speedup gate for CI:
 //
 //   --min-speedup X   exit 1 unless median(full) / median(edit) >= X
@@ -64,12 +67,15 @@ std::vector<Fixture> prepare() {
     return out;
 }
 
-/// One edited copy through the mutation protocol; returns the refined slot.
-std::shared_ptr<const IncrementalThroughput> edited_warm(const Fixture& f,
-                                                         Int new_time) {
+/// One edited copy of the fixture through the mutation protocol.
+Graph edited_copy(const Fixture& f) {
     Graph copy = f.graph;
-    copy.set_execution_time(f.edit_actor, new_time);
-    return copy.analyses()->cached<IncrementalThroughputAnalysis>();
+    copy.set_execution_time(f.edit_actor, f.edited_time);
+    return copy;
+}
+
+bool same_answer(const ThroughputResult& a, const ThroughputResult& b) {
+    return a.outcome == b.outcome && a.period == b.period && a.per_actor == b.per_actor;
 }
 
 struct Report {
@@ -99,14 +105,13 @@ Report measure(const Fixture& f, int reps) {
         std::exit(1);
     }
 
-    // The cold reference on the edited graph, and the bit-identity check.
-    Graph edited_cold = f.graph;
-    edited_cold.set_execution_time(f.edit_actor, f.edited_time);
+    // The cold reference on the edited graph, and the refinement counters:
+    // the edit must have refined the warm slot, not dropped it.
+    const Graph edited_cold = edited_copy(f);
     const ThroughputResult reference = throughput_symbolic(edited_cold);
-    const auto refined = edited_warm(f, f.edited_time);
-    if (refined == nullptr || !(refined->result.period == reference.period) ||
-        refined->result.per_actor != reference.per_actor) {
-        std::printf("ERROR: refined result diverges from the cold solve on %s\n",
+    const auto refined = edited_cold.analyses()->cached<IncrementalThroughputAnalysis>();
+    if (refined == nullptr || refined->refines == 0) {
+        std::printf("ERROR: the edit did not refine the warm slot on %s\n",
                     f.label.c_str());
         std::exit(1);
     }
@@ -116,9 +121,27 @@ Report measure(const Fixture& f, int reps) {
     r.full = sdfbench::measure_ms(reps, [&] {
         benchmark::DoNotOptimize(throughput_symbolic(edited_cold));
     });
+    // Every repetition's answer must be the refined warm result itself (a
+    // cold fallback fails here on every row) and equal the cold solve.
+    bool from_warm = true;
     r.edit = sdfbench::measure_ms(reps, [&] {
-        benchmark::DoNotOptimize(edited_warm(f, f.edited_time));
+        const Graph copy = edited_copy(f);
+        const auto answer = cached_throughput(copy);
+        const auto slot = copy.analyses()->cached<IncrementalThroughputAnalysis>();
+        from_warm = from_warm && slot != nullptr && answer.get() == &slot->result;
+        r.bit_identical = r.bit_identical && same_answer(*answer, reference);
+        benchmark::DoNotOptimize(answer);
     });
+    if (!from_warm) {
+        std::printf("ERROR: the edited answer was not read from the warm slot on %s\n",
+                    f.label.c_str());
+        std::exit(1);
+    }
+    if (!r.bit_identical) {
+        std::printf("ERROR: edited answer diverges from the cold solve on %s\n",
+                    f.label.c_str());
+        std::exit(1);
+    }
     r.speedup = r.edit.median_ms > 0 ? r.full.median_ms / r.edit.median_ms : 0;
     return r;
 }
@@ -157,8 +180,7 @@ void write_json(const std::string& path, const std::vector<Report>& reports,
 void BM_FullSolve(benchmark::State& state) {
     const auto fixtures = prepare();
     const Fixture& f = fixtures[static_cast<std::size_t>(state.range(0))];
-    Graph edited = f.graph;
-    edited.set_execution_time(f.edit_actor, f.edited_time);
+    const Graph edited = edited_copy(f);
     for (auto _ : state) {
         benchmark::DoNotOptimize(throughput_symbolic(edited));
     }
@@ -170,7 +192,7 @@ void BM_IncrementalEdit(benchmark::State& state) {
     const Fixture& f = fixtures[static_cast<std::size_t>(state.range(0))];
     warm_throughput(f.graph);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(edited_warm(f, f.edited_time));
+        benchmark::DoNotOptimize(cached_throughput(edited_copy(f)));
     }
     state.SetLabel(f.label);
 }

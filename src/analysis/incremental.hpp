@@ -19,9 +19,10 @@
 //      O(changed + critical cycle) when the stored witnesses still hold,
 //      and only a dirty SCC ever re-runs Howard.
 //
-// The slot lives at refine phase 1; ThroughputAnalysis (phase 2) forwards
-// to the result refined here, so `cached_throughput` callers get warm
-// answers without knowing this layer exists.  Bit-exactness is part of the
+// The slot lives at refine phase 1, after the untimed structural slots.
+// `cached_throughput` answers from it whenever it holds a result, so its
+// callers get warm answers without knowing this layer exists; the plain
+// throughput slot is dropped by every edit.  Bit-exactness is part of the
 // contract: the refined result equals what a from-scratch
 // throughput_symbolic on the edited graph would return, Rational for
 // Rational (the fuzz oracle `incremental-route` enforces this).
@@ -84,8 +85,8 @@ struct IncrementalThroughput {
 
 /// AnalysisManager slot (see sdf/analysis_manager.hpp).  Time-sensitive,
 /// refine phase 1: runs after the untimed structural slots so the replay
-/// can trust the kept schedule, and before ThroughputAnalysis (phase 2)
-/// which forwards to the result refined here.
+/// can trust the kept schedule.  A timing edit refines the warm state (a
+/// deadlocked graph keeps its zero answer); any other edit drops the slot.
 struct IncrementalThroughputAnalysis {
     using Result = IncrementalThroughput;
     static constexpr const char* kName = "throughput-incremental";

@@ -1,6 +1,7 @@
 #include "analysis/throughput.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "analysis/incremental.hpp"
 
@@ -37,20 +38,6 @@ ThroughputResult throughput_from_metric(const CycleMetric& metric,
         result.per_actor.push_back(Rational(q) / metric.value);
     }
     return result;
-}
-
-Refined<ThroughputResult> ThroughputAnalysis::refine(const Result& old,
-                                                     const RefineContext& ctx) {
-    using Out = Refined<Result>;
-    // Phase 2: the warm-state slot has already decided whether it could
-    // absorb the delta; its result IS a from-scratch-equal throughput.
-    if (const auto warm = ctx.target.cached<IncrementalThroughputAnalysis>()) {
-        return Out::make(warm->result);
-    }
-    if (old.outcome == ThroughputOutcome::deadlocked && ctx.log.timing_only()) {
-        return Out::keep();  // liveness is untimed, the zero vector has no times
-    }
-    return Out::drop();
 }
 
 namespace {
@@ -222,6 +209,10 @@ SelfTimedThroughput throughput_self_timed(const Graph& graph) {
 }
 
 std::shared_ptr<const ThroughputResult> cached_throughput(const Graph& graph) {
+    if (auto warm = graph.analyses()->cached<IncrementalThroughputAnalysis>()) {
+        const ThroughputResult* result = &warm->result;
+        return {std::move(warm), result};
+    }
     return graph.analyses()->get<ThroughputAnalysis>(graph);
 }
 

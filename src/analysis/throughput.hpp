@@ -73,23 +73,21 @@ ThroughputResult throughput_symbolic(const Graph& graph);
 /// step, so the exact result is cached per graph.  compute() reads the
 /// matrix from the symbolic-iteration slot (transform/symbolic.hpp), which
 /// to_hsdf_reduced shares, and caches the deadlocked answer when that slot
-/// throws DeadlockError.  Delta-aware at refine
-/// phase 2: when the warm-state slot (analysis/incremental.hpp, phase 1)
-/// absorbed the edit, this slot forwards its refined result; a timing edit
-/// on a deadlocked graph keeps the zero answer outright; anything else
-/// drops for lazy recomputation.
+/// throws DeadlockError.  No refine hook: like every timed slot without
+/// one, any edit drops it.  Edits carry throughput in the warm-state slot
+/// (analysis/incremental.hpp) instead.
 struct ThroughputAnalysis {
     using Result = ThroughputResult;
     static constexpr const char* kName = "throughput";
     static constexpr bool kTimeSensitive = true;
-    static constexpr int kRefinePhase = 2;
     static Result compute(const Graph& graph);
-    static Refined<Result> refine(const Result& old, const RefineContext& ctx);
 };
 
-/// throughput_symbolic through the graph's AnalysisManager: computes on
-/// first use, serves the cache afterwards.  Throws what the direct route
-/// throws (inconsistency), which is never cached.
+/// throughput_symbolic through the graph's AnalysisManager.  When the
+/// warm-state slot holds a result (warm_throughput primed it, or an edit
+/// refined it) the answer aliases that result; otherwise this slot computes
+/// on first use and serves the cache afterwards.  Throws what the direct
+/// route throws (inconsistency), which is never cached.
 std::shared_ptr<const ThroughputResult> cached_throughput(const Graph& graph);
 
 /// Route 2: classical HSDF conversion + exact maximum cycle ratio.

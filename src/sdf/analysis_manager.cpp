@@ -85,9 +85,9 @@ void AnalysisManager::refine_from(const AnalysisManager& from, const Graph& grap
             }
         }
     }
-    // Phase order lets derived slots (throughput) read base slots
-    // (repetition, incremental max-plus state) the earlier phases already
-    // installed; ties break on the slot name for determinism.
+    // Phase order lets derived slots (liveness, warm throughput) read base
+    // slots (repetition, schedule) the earlier phases already installed;
+    // ties break on the slot name for determinism.
     std::sort(pending.begin(), pending.end(), [](const Pending& a, const Pending& b) {
         if (a.slot.phase != b.slot.phase) {
             return a.slot.phase < b.slot.phase;
@@ -132,13 +132,6 @@ void AnalysisManager::refine_from(const AnalysisManager& from, const Graph& grap
             slot.value = std::move(outcome.value);
             ++slot.refined;
         }
-    }
-}
-
-void AnalysisManager::invalidate() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& [key, slot] : slots_) {
-        slot.value.reset();
     }
 }
 

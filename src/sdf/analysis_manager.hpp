@@ -245,9 +245,6 @@ public:
     void refine_from(const AnalysisManager& from, const Graph& graph,
                      const MutationLog& log);
 
-    /// Drops every cached result (counters survive).
-    void invalidate();
-
     /// Per-slot cache counters, sorted by analysis name.
     [[nodiscard]] std::vector<AnalysisSlotStats> stats() const;
 

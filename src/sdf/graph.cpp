@@ -14,7 +14,6 @@ void Graph::record_mutation(const MutationEvent& event) {
     delta.push(event);
     fresh->refine_from(*analyses_, *this, delta);
     analyses_ = fresh;
-    mutations_.push(event);
 }
 
 ActorId Graph::add_actor(const std::string& name, Int execution_time) {

@@ -88,7 +88,8 @@ public:
     void set_rates(ChannelId id, Int production, Int consumption);
 
     /// Removes a channel.  Channel ids above `id` shift down by one (dense
-    /// indices), which the recorded MutationEvent documents for consumers.
+    /// indices), which the MutationEvent handed to the refine hooks
+    /// documents.
     void remove_channel(ChannelId id);
 
     /// Removes an actor, which must have no incident channels (remove those
@@ -119,22 +120,16 @@ public:
         return analyses_;
     }
 
-    /// Every mutation recorded on THIS object since its construction or
-    /// copy (graph assignment replaces the log with the source's).  Passes
-    /// slice this to report a delta for a whole rewrite.
-    [[nodiscard]] const MutationLog& mutations() const { return mutations_; }
-
 private:
     /// Called by mutators AFTER applying a change: swaps in a fresh manager
-    /// refined from the old one through the single-event delta and appends
-    /// the event to the accumulated log.  Never throws.
+    /// refined from the old one through the single-event delta.  Never
+    /// throws.
     void record_mutation(const MutationEvent& event);
 
     std::string name_;
     std::vector<Actor> actors_;
     std::vector<Channel> channels_;
     std::unordered_map<std::string, ActorId> actor_by_name_;
-    MutationLog mutations_;
     std::shared_ptr<AnalysisManager> analyses_ = std::make_shared<AnalysisManager>();
 };
 

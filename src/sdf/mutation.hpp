@@ -1,20 +1,21 @@
 // mutation.hpp — the typed mutation-delta protocol of the graph model.
 //
-// Every Graph mutator records WHAT changed as a MutationEvent instead of
-// blanketly discarding the analysis cache: the manager swap that used to be
-// `invalidate_analyses()` becomes `refine_from(old, graph, log)`, which asks
-// every cached analysis slot how it survives the delta — kept unchanged,
-// refined in place, or dropped for lazy recomputation (see
-// sdf/analysis_manager.hpp for the per-slot contract and
-// docs/INCREMENTAL.md for the full protocol).
+// Every Graph mutator describes WHAT changed as a MutationEvent instead of
+// blanketly discarding the analysis cache: the mutator swaps in a fresh
+// manager filled by `refine_from(old, graph, log)`, which asks every cached
+// analysis slot how it survives the delta — kept unchanged, refined in
+// place, or dropped for lazy recomputation (see sdf/analysis_manager.hpp
+// for the per-slot contract and docs/INCREMENTAL.md for the full
+// protocol).  The graph keeps no history: the event lives only as long as
+// that refinement.
 //
 // Events are value records of the pre- and post-edit scalars, so refinement
 // hooks can reason about the *direction* of a change (a token increase can
 // never introduce a deadlock; a pure execution-time edit cannot touch any
 // untimed result).  A MutationLog is an ordered batch of events: mutators
-// emit singleton logs, passes may emit one log for a whole rewrite
-// (pass/pass.hpp `PassResult::delta`), and the serve `edit` op replays a
-// client-provided script as one log per edit.
+// hand a one-event log to refine_from, and passes may emit one log for a
+// whole rewrite (pass/pass.hpp `PassResult::delta`).  The serve `edit` op
+// applies a client-provided script through the mutators, one event each.
 #pragma once
 
 #include <cstddef>
@@ -60,10 +61,6 @@ public:
     MutationLog() = default;
 
     void push(const MutationEvent& event) { events_.push_back(event); }
-    void append(const MutationLog& other) {
-        events_.insert(events_.end(), other.events_.begin(), other.events_.end());
-    }
-    void clear() { events_.clear(); }
 
     [[nodiscard]] bool empty() const { return events_.empty(); }
     [[nodiscard]] std::size_t size() const { return events_.size(); }
