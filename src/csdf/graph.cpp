@@ -24,12 +24,17 @@ Int CsdfChannel::consumption_per_cycle() const {
 
 CsdfActorId CsdfGraph::add_actor(const std::string& name, std::vector<Int> phase_times) {
     require(!name.empty(), "actor name must be non-empty");
-    require(!phase_times.empty(), "actor '" + name + "' needs at least one phase");
-    for (const Int t : phase_times) {
-        require(t >= 0, "actor '" + name + "' has a negative phase time");
+    if (phase_times.empty()) {
+        throw InvalidGraphError("actor '" + name + "' needs at least one phase");
     }
-    require(actor_by_name_.find(name) == actor_by_name_.end(),
-            "duplicate actor name '" + name + "'");
+    for (const Int t : phase_times) {
+        if (t < 0) {
+            throw InvalidGraphError("actor '" + name + "' has a negative phase time");
+        }
+    }
+    if (actor_by_name_.find(name) != actor_by_name_.end()) {
+        throw InvalidGraphError("duplicate actor name '" + name + "'");
+    }
     const CsdfActorId id = actors_.size();
     actors_.push_back(CsdfActor{name, std::move(phase_times)});
     actor_by_name_.emplace(name, id);

@@ -15,6 +15,16 @@ bool AnalysisManager::has(const std::string& analysis) const {
     return false;
 }
 
+bool AnalysisManager::empty() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [key, slot] : slots_) {
+        if (slot.value) {
+            return false;
+        }
+    }
+    return true;
+}
+
 void AnalysisManager::adopt_matching(const AnalysisManager& from,
                                      const std::vector<std::string>* filter,
                                      bool untimed_only) {

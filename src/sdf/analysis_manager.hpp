@@ -26,11 +26,12 @@
 // re-throw on every query exactly like the direct call would.
 //
 // Every Graph owns a manager (Graph::analyses()).  Copies of a graph share
-// it until either copy mutates; mutation swaps in a fresh manager so results
-// cached for the old structure stay with the old graph.  The swap is no
-// longer a blanket invalidation: the mutator records a MutationEvent
-// (sdf/mutation.hpp) and the fresh manager REFINES from the old one —
-// per slot, the delta either
+// it until either copy mutates, and results cached for the old graph stay
+// with the old graph.  A structural mutation (add_actor, add_channel)
+// drops every result.  A value edit on the fixed structure (execution
+// time, tokens, rates) is no blanket invalidation: the setter records a
+// MutationEvent (sdf/mutation.hpp) and swaps in a fresh manager that
+// REFINES from the old one — per slot, the delta either
 //
 //   * KEEPS the cached value (a pure timing edit cannot move any untimed
 //     result; counted in `kept`),
@@ -224,6 +225,9 @@ public:
 
     /// True when a slot with this kName holds a result.
     [[nodiscard]] bool has(const std::string& analysis) const;
+
+    /// True when no slot holds a result.
+    [[nodiscard]] bool empty() const;
 
     /// Copies the cached results whose kName appears in `analyses` from
     /// another manager (typically the one of the graph a pass just

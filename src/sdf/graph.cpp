@@ -16,19 +16,29 @@ void Graph::record_mutation(const MutationEvent& event) {
     analyses_ = fresh;
 }
 
+void Graph::drop_analyses() {
+    // A copy may still share the manager, and its results belong to the old
+    // structure: leave them to the copy.  An unshared, empty manager already
+    // is what a fresh one would be, so the parser and the conversions fill a
+    // graph without allocating one manager per element.  Runs before the
+    // structural change, so a failed allocation leaves the graph unchanged.
+    if (analyses_.use_count() != 1 || !analyses_->empty()) {
+        analyses_ = std::make_shared<AnalysisManager>();
+    }
+}
+
 ActorId Graph::add_actor(const std::string& name, Int execution_time) {
     require(!name.empty(), "actor name must be non-empty");
-    require(execution_time >= 0, "actor '" + name + "' has negative execution time");
-    require(actor_by_name_.find(name) == actor_by_name_.end(),
-            "duplicate actor name '" + name + "'");
+    if (execution_time < 0) {
+        throw InvalidGraphError("actor '" + name + "' has negative execution time");
+    }
+    if (actor_by_name_.find(name) != actor_by_name_.end()) {
+        throw InvalidGraphError("duplicate actor name '" + name + "'");
+    }
+    drop_analyses();
     const ActorId id = actors_.size();
     actors_.push_back(Actor{name, execution_time});
     actor_by_name_.emplace(name, id);
-    MutationEvent event;
-    event.kind = MutationKind::actor_added;
-    event.id = id;
-    event.new_a = execution_time;
-    record_mutation(event);
     return id;
 }
 
@@ -38,14 +48,9 @@ ChannelId Graph::add_channel(ActorId src, ActorId dst, Int production, Int consu
     require(production > 0, "channel production rate must be positive");
     require(consumption > 0, "channel consumption rate must be positive");
     require(initial_tokens >= 0, "channel initial tokens must be non-negative");
+    drop_analyses();
     const ChannelId id = channels_.size();
     channels_.push_back(Channel{src, dst, production, consumption, initial_tokens});
-    MutationEvent event;
-    event.kind = MutationKind::channel_added;
-    event.id = id;
-    event.new_a = production;
-    event.new_b = consumption;
-    record_mutation(event);
     return id;
 }
 
@@ -96,45 +101,6 @@ void Graph::set_rates(ChannelId id, Int production, Int consumption) {
     event.new_b = consumption;
     channel.production = production;
     channel.consumption = consumption;
-    record_mutation(event);
-}
-
-void Graph::remove_channel(ChannelId id) {
-    require(id < channels_.size(), "channel id out of range");
-    MutationEvent event;
-    event.kind = MutationKind::channel_removed;
-    event.id = id;
-    event.old_a = channels_[id].production;
-    event.old_b = channels_[id].consumption;
-    channels_.erase(channels_.begin() + static_cast<std::ptrdiff_t>(id));
-    record_mutation(event);
-}
-
-void Graph::remove_actor(ActorId id) {
-    require(id < actors_.size(), "actor id out of range");
-    for (const Channel& c : channels_) {
-        require(c.src != id && c.dst != id,
-                "actor '" + actors_[id].name + "' still has channels; remove them first");
-    }
-    MutationEvent event;
-    event.kind = MutationKind::actor_removed;
-    event.id = id;
-    event.old_a = actors_[id].execution_time;
-    actor_by_name_.erase(actors_[id].name);
-    actors_.erase(actors_.begin() + static_cast<std::ptrdiff_t>(id));
-    for (Channel& c : channels_) {
-        if (c.src > id) {
-            --c.src;
-        }
-        if (c.dst > id) {
-            --c.dst;
-        }
-    }
-    for (auto& [name, actor] : actor_by_name_) {
-        if (actor > id) {
-            --actor;
-        }
-    }
     record_mutation(event);
 }
 

@@ -46,15 +46,15 @@ struct Channel {
 /// positive, delays non-negative, names unique and endpoints valid.
 class Graph {
 public:
-    Graph() : analyses_(std::make_shared<AnalysisManager>()) {}
-    explicit Graph(std::string name)
-        : name_(std::move(name)), analyses_(std::make_shared<AnalysisManager>()) {}
+    Graph() = default;
+    explicit Graph(std::string name) : name_(std::move(name)) {}
 
     [[nodiscard]] const std::string& name() const { return name_; }
     void set_name(std::string name) { name_ = std::move(name); }
 
     /// Adds an actor; the name must be unique and non-empty, the execution
-    /// time non-negative.  Returns its id.
+    /// time non-negative.  Returns its id.  Like add_channel, this is a
+    /// structural change: no cached result survives it (see analyses()).
     ActorId add_actor(const std::string& name, Int execution_time = 0);
 
     /// Adds a channel (src, dst, p, c, d); rates must be positive and the
@@ -87,16 +87,6 @@ public:
     /// A no-op edit records nothing and keeps the cache whole.
     void set_rates(ChannelId id, Int production, Int consumption);
 
-    /// Removes a channel.  Channel ids above `id` shift down by one (dense
-    /// indices), which the MutationEvent handed to the refine hooks
-    /// documents.
-    void remove_channel(ChannelId id);
-
-    /// Removes an actor, which must have no incident channels (remove those
-    /// first).  Actor ids above `id` shift down by one and channel
-    /// endpoints are renumbered accordingly.
-    void remove_actor(ActorId id);
-
     /// Id of the actor with this exact name, if any.
     [[nodiscard]] std::optional<ActorId> find_actor(const std::string& name) const;
 
@@ -112,19 +102,28 @@ public:
     [[nodiscard]] bool is_homogeneous() const;
 
     /// This graph's analysis cache (see sdf/analysis_manager.hpp).  Copies
-    /// of a graph share the manager until either copy mutates; mutation
-    /// swaps in a fresh one — refined through the recorded delta, not
-    /// emptied — so results cached for the old structure stay with the old
-    /// graph and everything the delta cannot move stays with this one.
+    /// of a graph share the manager until either copy mutates, and results
+    /// cached for the old graph stay with the old graph:
+    ///   * a value edit (set_*) swaps in a fresh manager refined from the old
+    ///     one through the recorded delta, so everything the edit cannot move
+    ///     stays with this graph;
+    ///   * a structural edit (add_*) drops every result.  It swaps in a
+    ///     fresh, empty manager only when the current one is shared or holds
+    ///     a result, so building a graph allocates one manager, not one per
+    ///     element.
     [[nodiscard]] const std::shared_ptr<AnalysisManager>& analyses() const {
         return analyses_;
     }
 
 private:
-    /// Called by mutators AFTER applying a change: swaps in a fresh manager
-    /// refined from the old one through the single-event delta.  Never
-    /// throws.
+    /// Called by the setters AFTER applying a value edit: swaps in a fresh
+    /// manager refined from the old one through the single-event delta.
+    /// Never throws.
     void record_mutation(const MutationEvent& event);
+
+    /// Called by add_actor/add_channel: makes sure this graph's manager is
+    /// its own and holds no result.
+    void drop_analyses();
 
     std::string name_;
     std::vector<Actor> actors_;

@@ -1,21 +1,23 @@
 // mutation.hpp — the typed mutation-delta protocol of the graph model.
 //
-// Every Graph mutator describes WHAT changed as a MutationEvent instead of
-// blanketly discarding the analysis cache: the mutator swaps in a fresh
-// manager filled by `refine_from(old, graph, log)`, which asks every cached
-// analysis slot how it survives the delta — kept unchanged, refined in
-// place, or dropped for lazy recomputation (see sdf/analysis_manager.hpp
-// for the per-slot contract and docs/INCREMENTAL.md for the full
-// protocol).  The graph keeps no history: the event lives only as long as
-// that refinement.
+// A value edit on a fixed structure (execution time, initial tokens,
+// rates) describes WHAT changed as a MutationEvent instead of blanketly
+// discarding the analysis cache: the setter swaps in a fresh manager filled
+// by `refine_from(old, graph, log)`, which asks every cached analysis slot
+// how it survives the delta — kept unchanged, refined in place, or dropped
+// for lazy recomputation (see sdf/analysis_manager.hpp for the per-slot
+// contract and docs/INCREMENTAL.md for the full protocol).  Structural
+// mutators (add_actor, add_channel) record no event: they start the graph
+// on an empty manager.  The graph keeps no history: the event lives only
+// as long as that refinement.
 //
 // Events are value records of the pre- and post-edit scalars, so refinement
 // hooks can reason about the *direction* of a change (a token increase can
 // never introduce a deadlock; a pure execution-time edit cannot touch any
-// untimed result).  A MutationLog is an ordered batch of events: mutators
+// untimed result).  A MutationLog is an ordered batch of events: the setters
 // hand a one-event log to refine_from, and passes may emit one log for a
 // whole rewrite (pass/pass.hpp `PassResult::delta`).  The serve `edit` op
-// applies a client-provided script through the mutators, one event each.
+// applies a client-provided script through the setters, one event each.
 #pragma once
 
 #include <cstddef>
@@ -30,12 +32,9 @@ namespace sdf {
 using ActorId = std::size_t;
 using ChannelId = std::size_t;
 
-/// What one mutation did to the graph.
+/// What one value edit did to the graph.  Every kind keeps the actor and
+/// channel index spaces stable, so positional results refine entry-wise.
 enum class MutationKind : std::uint8_t {
-    actor_added,      ///< add_actor; `id` is the new ActorId
-    actor_removed,    ///< remove_actor; ids above `id` shifted down by one
-    channel_added,    ///< add_channel; `id` is the new ChannelId
-    channel_removed,  ///< remove_channel; ids above `id` shifted down by one
     execution_time,   ///< set_execution_time; old_a -> new_a on actor `id`
     rates,            ///< set_rates; (old_a, old_b) -> (new_a, new_b) = (p, c)
     initial_tokens,   ///< set_initial_tokens; old_a -> new_a on channel `id`
@@ -66,22 +65,6 @@ public:
     [[nodiscard]] std::size_t size() const { return events_.size(); }
     [[nodiscard]] const std::vector<MutationEvent>& events() const { return events_; }
 
-    /// True when every event's kind is in `kinds` (an empty log trivially
-    /// qualifies) — the generic subset predicate behind the named ones.
-    [[nodiscard]] bool only(std::initializer_list<MutationKind> kinds) const {
-        return all_of_kinds(kinds);
-    }
-
-    /// True when at least one event has this kind.
-    [[nodiscard]] bool has(MutationKind kind) const {
-        for (const MutationEvent& e : events_) {
-            if (e.kind == kind) {
-                return true;
-            }
-        }
-        return false;
-    }
-
     /// Only execution-time edits: no untimed result can change.
     [[nodiscard]] bool timing_only() const {
         return all_of_kinds({MutationKind::execution_time});
@@ -91,14 +74,6 @@ public:
     /// the repetition vector and consistency, are untouched.
     [[nodiscard]] bool timing_or_tokens_only() const {
         return all_of_kinds({MutationKind::execution_time, MutationKind::initial_tokens});
-    }
-
-    /// Only rate / timing / token edits on EXISTING elements: the actor and
-    /// channel index spaces are stable, so positional results can be
-    /// refined entry-wise.
-    [[nodiscard]] bool structure_preserving() const {
-        return all_of_kinds({MutationKind::execution_time, MutationKind::rates,
-                             MutationKind::initial_tokens});
     }
 
     /// True when every token edit in the log moves in the given direction

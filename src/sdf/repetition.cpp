@@ -165,7 +165,7 @@ void resolve_components_of(const Graph& graph, const std::vector<ActorId>& seeds
 }
 
 /// Endpoints of every rate-edited channel: the seeds of the dirty weakly
-/// connected components a structure-preserving delta can touch.
+/// connected components a delta can touch.
 std::vector<ActorId> rate_dirty_actors(const Graph& graph, const MutationLog& log) {
     std::vector<ActorId> dirty;
     for (const MutationEvent& e : log.events()) {
@@ -190,26 +190,13 @@ Refined<std::vector<Int>> RepetitionVectorAnalysis::refine(const Result& old,
     if (ctx.log.timing_or_tokens_only()) {
         return Out::keep();  // rates untouched, the vector cannot move
     }
-    if (ctx.log.structure_preserving() && old.size() == ctx.graph.actor_count()) {
-        // Rate edits: re-solve only the dirty weakly connected components.
-        Result updated = old;
-        resolve_components_of(ctx.graph, rate_dirty_actors(ctx.graph, ctx.log), updated);
-        return Out::make(std::move(updated));
+    if (old.size() != ctx.graph.actor_count()) {
+        return Out::drop();
     }
-    if (ctx.log.only({MutationKind::actor_added, MutationKind::execution_time,
-                      MutationKind::initial_tokens})) {
-        // A just-added actor has no channels yet: its own component, q = 1.
-        Result updated = old;
-        for (const MutationEvent& e : ctx.log.events()) {
-            if (e.kind == MutationKind::actor_added) {
-                updated.push_back(1);
-            }
-        }
-        if (updated.size() == ctx.graph.actor_count()) {
-            return Out::make(std::move(updated));
-        }
-    }
-    return Out::drop();
+    // Rate edits: re-solve only the dirty weakly connected components.
+    Result updated = old;
+    resolve_components_of(ctx.graph, rate_dirty_actors(ctx.graph, ctx.log), updated);
+    return Out::make(std::move(updated));
 }
 
 bool ConsistencyAnalysis::compute(const Graph& graph) {
@@ -226,30 +213,18 @@ Refined<bool> ConsistencyAnalysis::refine(const Result& old, const RefineContext
     if (ctx.log.timing_or_tokens_only()) {
         return Out::keep();
     }
-    if (ctx.log.only({MutationKind::actor_added, MutationKind::execution_time,
-                      MutationKind::initial_tokens})) {
-        return Out::keep();  // an isolated new actor is trivially balanced
+    if (!old) {
+        return Out::drop();  // a rate edit may have balanced the system
     }
-    if (old && ctx.log.structure_preserving()) {
-        // The untouched components kept their solutions; only the dirty
-        // ones can have become unsolvable.
-        std::vector<Int> scratch(ctx.graph.actor_count(), 0);
-        try {
-            resolve_components_of(ctx.graph, rate_dirty_actors(ctx.graph, ctx.log),
-                                  scratch);
-        } catch (const InconsistentGraphError&) {
-            return Out::make(false);
-        }
-        return Out::keep();
+    // The untouched components kept their solutions; only the dirty ones
+    // can have become unsolvable.
+    std::vector<Int> scratch(ctx.graph.actor_count(), 0);
+    try {
+        resolve_components_of(ctx.graph, rate_dirty_actors(ctx.graph, ctx.log), scratch);
+    } catch (const InconsistentGraphError&) {
+        return Out::make(false);
     }
-    if (!old && ctx.log.only({MutationKind::channel_added, MutationKind::actor_added,
-                              MutationKind::execution_time,
-                              MutationKind::initial_tokens})) {
-        // Adding channels only adds balance constraints: an unsolvable
-        // system stays unsolvable.
-        return Out::keep();
-    }
-    return Out::drop();
+    return Out::keep();
 }
 
 std::vector<Int> repetition_vector(const Graph& graph) {

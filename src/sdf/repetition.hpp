@@ -30,8 +30,7 @@ bool is_consistent(const Graph& graph);
 /// and token edits keep the vector untouched (it depends on rates only), a
 /// rate edit re-solves ONLY the weakly connected component the edited
 /// channel lives in and splices the local solution into the old vector
-/// (components are normalised independently, so the splice is exact), and
-/// a freshly added actor — necessarily isolated — appends a 1.
+/// (components are normalised independently, so the splice is exact).
 struct RepetitionVectorAnalysis {
     using Result = std::vector<Int>;
     static constexpr const char* kName = "repetition";
@@ -42,9 +41,7 @@ struct RepetitionVectorAnalysis {
 
 /// AnalysisManager slot behind is_consistent().  Delta-aware: invariant
 /// under timing/token edits; under rate edits a consistent graph re-checks
-/// only the dirty component (the others kept their solutions); adding a
-/// channel to an inconsistent graph can only add constraints, so `false`
-/// survives it.
+/// only the dirty component (the others kept their solutions).
 struct ConsistencyAnalysis {
     using Result = bool;
     static constexpr const char* kName = "consistency";

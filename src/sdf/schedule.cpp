@@ -151,9 +151,8 @@ Refined<std::vector<ActorId>> SequentialScheduleAnalysis::refine(
     if (ctx.log.timing_only()) {
         return Out::keep();
     }
-    if (!ctx.log.only({MutationKind::execution_time, MutationKind::initial_tokens,
-                       MutationKind::actor_added})) {
-        return Out::drop();  // rate or structural edits reshape the iteration
+    if (!ctx.log.timing_or_tokens_only()) {
+        return Out::drop();  // rate edits reshape the iteration
     }
     // Validation cost is O(firings); past this the certificate check would
     // rival recomputation, so fall back to the lazy path.
@@ -161,22 +160,10 @@ Refined<std::vector<ActorId>> SequentialScheduleAnalysis::refine(
     if (old.size() > kMaxValidatedFirings) {
         return Out::drop();
     }
-    const bool appends = ctx.log.has(MutationKind::actor_added);
-    if (!appends && ctx.log.tokens_monotone(/*increase=*/true)) {
+    if (ctx.log.tokens_monotone(/*increase=*/true)) {
         return Out::keep();  // more tokens never disable a firing
     }
-    Result candidate = old;
-    if (appends) {
-        for (const MutationEvent& e : ctx.log.events()) {
-            if (e.kind == MutationKind::actor_added) {
-                candidate.push_back(e.id);  // isolated actor: fires once, last
-            }
-        }
-    }
-    if (!validate_schedule(ctx.graph, candidate)) {
-        return Out::drop();
-    }
-    return appends ? Out::make(std::move(candidate)) : Out::keep();
+    return validate_schedule(ctx.graph, old) ? Out::keep() : Out::drop();
 }
 
 bool LivenessAnalysis::compute(const Graph& graph) {
@@ -192,35 +179,22 @@ bool LivenessAnalysis::compute(const Graph& graph) {
 
 Refined<bool> LivenessAnalysis::refine(const Result& old, const RefineContext& ctx) {
     using Out = Refined<Result>;
-    if (ctx.log.only({MutationKind::execution_time, MutationKind::actor_added})) {
-        return Out::keep();  // timing is invisible; an isolated actor fires freely
+    if (ctx.log.timing_only()) {
+        return Out::keep();  // timing is invisible to liveness
     }
-    if (ctx.log.only({MutationKind::execution_time, MutationKind::actor_added,
-                      MutationKind::initial_tokens})) {
-        if (old && ctx.log.tokens_monotone(/*increase=*/true)) {
-            return Out::keep();  // more tokens cannot introduce a deadlock
-        }
-        if (!old && ctx.log.tokens_monotone(/*increase=*/false)) {
-            return Out::keep();  // fewer tokens cannot revive a dead graph
-        }
-        // Phase 1: a schedule the earlier phase kept or refined for the new
-        // token distribution is a liveness witness.
-        if (ctx.target.cached<SequentialScheduleAnalysis>() != nullptr) {
-            return old ? Out::keep() : Out::make(true);
-        }
+    if (!ctx.log.timing_or_tokens_only()) {
         return Out::drop();
     }
-    if (!old && ctx.log.only({MutationKind::channel_added, MutationKind::actor_added,
-                              MutationKind::execution_time,
-                              MutationKind::initial_tokens})) {
-        // Extra channels only add constraints: neither an unsolvable
-        // balance system nor a deadlock can be repaired by them.  (Token
-        // edits alongside are already covered above when monotone; here we
-        // only rely on the channel making things strictly harder, so the
-        // token direction must still be non-reviving.)
-        if (ctx.log.tokens_monotone(/*increase=*/false)) {
-            return Out::keep();
-        }
+    if (old && ctx.log.tokens_monotone(/*increase=*/true)) {
+        return Out::keep();  // more tokens cannot introduce a deadlock
+    }
+    if (!old && ctx.log.tokens_monotone(/*increase=*/false)) {
+        return Out::keep();  // fewer tokens cannot revive a dead graph
+    }
+    // Phase 1: a schedule the earlier phase kept for the new token
+    // distribution is a liveness witness.
+    if (ctx.target.cached<SequentialScheduleAnalysis>() != nullptr) {
+        return old ? Out::keep() : Out::make(true);
     }
     return Out::drop();
 }

@@ -34,8 +34,7 @@ bool validate_schedule(const Graph& graph, const std::vector<ActorId>& schedule)
 /// edits keep the schedule; a token INCREASE keeps it outright (more tokens
 /// never disable a firing); a token decrease re-validates the cached order
 /// as a certificate (admissibility, not canonical bytes, is the contract —
-/// SDF determinacy makes every admissible schedule equivalent); a new
-/// isolated actor appends its single firing.
+/// SDF determinacy makes every admissible schedule equivalent).
 struct SequentialScheduleAnalysis {
     using Result = std::vector<ActorId>;
     static constexpr const char* kName = "schedule";
@@ -47,9 +46,9 @@ struct SequentialScheduleAnalysis {
 /// AnalysisManager slot behind is_deadlock_free() / is_live(): liveness is
 /// schedulability of one iteration, an untimed property.  Delta-aware via
 /// monotonicity — a token increase cannot deadlock a live graph, a token
-/// decrease cannot revive a dead one, extra channels only constrain — and
-/// via the schedule slot: a schedule kept/refined in an earlier phase is a
-/// liveness witness.  Runs at refine phase 1 for exactly that reason.
+/// decrease cannot revive a dead one — and via the schedule slot: a
+/// schedule kept in an earlier phase is a liveness witness.  Runs at refine
+/// phase 1 for exactly that reason.
 struct LivenessAnalysis {
     using Result = bool;
     static constexpr const char* kName = "liveness";

@@ -1,14 +1,31 @@
 // Unit tests for sdf/graph.hpp (the Definition 1/2 model).
 #include "sdf/graph.hpp"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
+#include "analysis/buffers.hpp"
+#include "analysis/throughput.hpp"
 #include "base/errors.hpp"
 #include "sdf/repetition.hpp"
 #include "sdf/schedule.hpp"
+#include "transform/selfloops.hpp"
 
 namespace sdf {
 namespace {
+
+/// The same actors and channels on a graph that never shared a manager.
+Graph rebuild_cold(const Graph& g) {
+    Graph cold(g.name());
+    for (const Actor& a : g.actors()) {
+        cold.add_actor(a.name, a.execution_time);
+    }
+    for (const Channel& c : g.channels()) {
+        cold.add_channel(c.src, c.dst, c.production, c.consumption, c.initial_tokens);
+    }
+    return cold;
+}
 
 TEST(Graph, AddActorsAndChannels) {
     Graph g("demo");
@@ -159,6 +176,66 @@ TEST(AnalysisManager, CopiesShareUntilEitherSideMutates) {
     EXPECT_EQ(repetition_vector(g), (std::vector<Int>{1}));
     ASSERT_TRUE(g.analyses()->is_cached<RepetitionVectorAnalysis>());
     EXPECT_EQ(g.analyses()->cached<RepetitionVectorAnalysis>()->size(), 1u);
+}
+
+TEST(AnalysisManager, BuildingAnUnsharedGraphKeepsOneManager) {
+    // Nothing is cached while a graph is being filled, so add_actor and
+    // add_channel leave the manager in place instead of replacing it per
+    // element.  A weak_ptr sees a replaced manager even if the allocator
+    // hands the fresh one the same address.
+    Graph g("build");
+    const std::weak_ptr<AnalysisManager> first = g.analyses();
+    const ActorId a = g.add_actor("a", 1);
+    const ActorId b = g.add_actor("b", 2);
+    g.add_channel(a, b, 1, 2, 0);
+    g.add_channel(b, a, 2, 1, 2);
+    EXPECT_EQ(first.lock(), g.analyses());
+}
+
+TEST(AnalysisManager, StructuralEditOfASharedEmptyManagerStillSplits) {
+    // Nothing is cached, but the copy shares the manager: it must get its
+    // own, or the original's later results would leak into it.
+    Graph g;
+    g.add_actor("a", 1);
+    Graph copy = g;
+    copy.add_actor("x", 1);
+    EXPECT_NE(copy.analyses(), g.analyses());
+    EXPECT_EQ(repetition_vector(g), (std::vector<Int>{1}));
+    EXPECT_FALSE(copy.analyses()->is_cached<RepetitionVectorAnalysis>());
+    EXPECT_TRUE(copy.analyses()->empty());
+}
+
+TEST(AnalysisManager, DerivedGraphsLeaveTheOriginalsSlotsInPlace) {
+    Graph g("pair");
+    const ActorId a = g.add_actor("a", 1);
+    const ActorId b = g.add_actor("b", 2);
+    g.add_channel(a, b, 1, 2, 0);
+    g.add_channel(b, a, 2, 1, 2);
+    const auto reps = g.analyses()->get<RepetitionVectorAnalysis>(g);
+    const auto sched = g.analyses()->get<SequentialScheduleAnalysis>(g);
+    const auto live = g.analyses()->get<LivenessAnalysis>(g);
+    const auto period = cached_throughput(g);
+
+    const Graph looped = add_self_loops(g);
+    const Graph bounded = with_buffer_capacity(g, 0, 2);
+    EXPECT_EQ(g.analyses()->cached<RepetitionVectorAnalysis>(), reps);
+    EXPECT_EQ(g.analyses()->cached<SequentialScheduleAnalysis>(), sched);
+    EXPECT_EQ(g.analyses()->cached<LivenessAnalysis>(), live);
+    EXPECT_EQ(cached_throughput(g), period);
+
+    for (const Graph* derived : {&looped, &bounded}) {
+        EXPECT_GT(derived->channel_count(), g.channel_count());
+        EXPECT_TRUE(derived->analyses()->empty());
+        const Graph cold = rebuild_cold(*derived);
+        EXPECT_EQ(repetition_vector(*derived), repetition_vector(cold));
+        EXPECT_EQ(sequential_schedule(*derived), sequential_schedule(cold));
+        EXPECT_EQ(is_deadlock_free(*derived), is_deadlock_free(cold));
+        const ThroughputResult reference = throughput_symbolic(cold);
+        const auto now = cached_throughput(*derived);
+        EXPECT_EQ(now->outcome, reference.outcome);
+        EXPECT_EQ(now->period, reference.period);
+        EXPECT_EQ(now->per_actor, reference.per_actor);
+    }
 }
 
 TEST(AnalysisManager, AdoptMovesNamedSlotsAcrossManagers) {
