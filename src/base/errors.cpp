@@ -2,7 +2,7 @@
 
 namespace sdf {
 
-void require(bool condition, const std::string& message) {
+void require(bool condition, const char* message) {
     if (!condition) {
         throw InvalidGraphError(message);
     }

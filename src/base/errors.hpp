@@ -57,6 +57,8 @@ public:
 };
 
 /// Throws InvalidGraphError with the given message when `condition` is false.
-void require(bool condition, const std::string& message);
+/// Takes a literal so a passing check builds no std::string; a caller that
+/// composes its message from parts throws InvalidGraphError itself.
+void require(bool condition, const char* message);
 
 }  // namespace sdf

@@ -54,10 +54,14 @@ CsdfChannelId CsdfGraph::add_channel(CsdfActorId src, CsdfActorId dst,
     const auto check_rates = [](const std::vector<Int>& rates, const char* kind) {
         Int total = 0;
         for (const Int r : rates) {
-            require(r >= 0, std::string(kind) + " rates must be non-negative");
+            if (r < 0) {
+                throw InvalidGraphError(std::string(kind) + " rates must be non-negative");
+            }
             total = checked_add(total, r);
         }
-        require(total > 0, std::string(kind) + " rates must not be all zero");
+        if (total <= 0) {
+            throw InvalidGraphError(std::string(kind) + " rates must not be all zero");
+        }
     };
     check_rates(production, "production");
     check_rates(consumption, "consumption");

@@ -98,7 +98,9 @@ const std::vector<RuleEntry>& rule_entries() {
 void emit(std::vector<Diagnostic>& out, const std::string& id, std::string message,
           SourceLoc location, std::string hint) {
     const Rule* rule = find_rule(id);
-    require(rule != nullptr, "lint rule '" + id + "' is not registered");
+    if (rule == nullptr) {
+        throw InvalidGraphError("lint rule '" + id + "' is not registered");
+    }
     out.push_back(Diagnostic{id, rule->severity, std::move(message), location,
                              std::move(hint)});
 }

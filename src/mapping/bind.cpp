@@ -13,8 +13,10 @@ void validate_mapping(const Graph& graph, const Mapping& mapping) {
     require(mapping.processor_of.size() == graph.actor_count(),
             "mapping must assign every actor");
     for (ActorId a = 0; a < graph.actor_count(); ++a) {
-        require(mapping.processor_of[a] < mapping.processor_count,
-                "actor '" + graph.actor(a).name + "' mapped to an unknown processor");
+        if (mapping.processor_of[a] >= mapping.processor_count) {
+            throw InvalidGraphError("actor '" + graph.actor(a).name +
+                                    "' mapped to an unknown processor");
+        }
     }
 }
 
@@ -41,14 +43,22 @@ Graph bind(const Graph& graph, const Mapping& mapping, const StaticOrder& order)
     for (std::size_t p = 0; p < order.order.size(); ++p) {
         for (const ActorId a : order.order[p]) {
             require(a < graph.actor_count(), "static order names an unknown actor");
-            require(mapping.processor_of[a] == p,
-                    "actor '" + graph.actor(a).name + "' ordered on the wrong processor");
-            require(!seen[a], "actor '" + graph.actor(a).name + "' ordered twice");
+            if (mapping.processor_of[a] != p) {
+                throw InvalidGraphError("actor '" + graph.actor(a).name +
+                                        "' ordered on the wrong processor");
+            }
+            if (seen[a]) {
+                throw InvalidGraphError("actor '" + graph.actor(a).name +
+                                        "' ordered twice");
+            }
             seen[a] = true;
         }
     }
     for (ActorId a = 0; a < graph.actor_count(); ++a) {
-        require(seen[a], "actor '" + graph.actor(a).name + "' missing from the order");
+        if (!seen[a]) {
+            throw InvalidGraphError("actor '" + graph.actor(a).name +
+                                    "' missing from the order");
+        }
     }
 
     Graph bound = graph;

@@ -297,26 +297,11 @@ PipelineRun PipelineExecutor::run(const Pipeline& pipeline, Graph graph) const {
                         report.carried.push_back(name);
                     }
                 }
-            } else {
-                if (!names.empty()) {
-                    graph.analyses()->adopt(*before.analyses(), names);
-                    for (const std::string& name : names) {
-                        if (before.analyses()->has(name)) {
-                            report.carried.push_back(name);
-                        }
-                    }
-                }
-                if (result.delta) {
-                    // Whole-graph rewrite with a typed delta: everything the
-                    // preservation list could not claim outright gets a
-                    // chance to survive through its refine hook (adopt()
-                    // filled its slots first; refine_from only fills what is
-                    // still empty).
-                    graph.analyses()->refine_from(*before.analyses(), graph,
-                                                  *result.delta);
-                    for (const AnalysisSlotStats& slot : graph.analyses()->stats()) {
-                        report.kept += slot.kept;
-                        report.refined += slot.refined;
+            } else if (!names.empty()) {
+                graph.analyses()->adopt(*before.analyses(), names);
+                for (const std::string& name : names) {
+                    if (before.analyses()->has(name)) {
+                        report.carried.push_back(name);
                     }
                 }
             }

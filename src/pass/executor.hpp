@@ -57,10 +57,6 @@ struct PassReport {
     /// Analyses carried across the pass: adopted from the pre-pass manager
     /// (normal mode) or recomputed and checked (verify mode).
     std::vector<std::string> carried;
-    /// Slots that survived the pass's MutationLog delta (PassResult::delta)
-    /// unchanged / updated in place, summed over the post-pass manager.
-    std::uint64_t kept = 0;
-    std::uint64_t refined = 0;
     bool verified = false;  ///< verify-each checks ran for this pass
 };
 

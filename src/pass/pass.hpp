@@ -74,15 +74,6 @@ struct PassResult {
     bool changed = false;
     /// Pass-specific counters for reports, e.g. {"removed", 3}.
     std::vector<std::pair<std::string, Int>> stats;
-    /// Optional typed delta for whole-graph rewrites: when a pass replaces
-    /// the graph by assignment (which resets its AnalysisManager) but can
-    /// DESCRIBE the rewrite as a MutationLog over stable actor/channel ids,
-    /// the executor refines the pre-pass cache through it instead of only
-    /// adopting the declared-preserved slots — so e.g. a retiming's token
-    /// moves keep a still-admissible schedule the preservation list had to
-    /// give up.  Passes mutating through the Graph mutators need none: each
-    /// mutator already refines.
-    std::optional<MutationLog> delta;
 };
 
 /// The analyses (AnalysisManager slot names) whose cached results stay

@@ -77,10 +77,10 @@ public:
                    AnalysisManager&) const override {
         const Int missing = count_actors_without_self_loop(graph);
         if (missing == 0) {
-            return {false, {{"added", 0}}, {}};
+            return {false, {{"added", 0}}};
         }
         graph = add_self_loops(graph, params.at("tokens"));
-        return {true, {{"added", missing}}, {}};
+        return {true, {{"added", missing}}};
     }
 };
 
@@ -115,10 +115,10 @@ public:
     PassResult run(Graph& graph, const PassParams&, AnalysisManager&) const override {
         const Int redundant = static_cast<Int>(count_redundant_channels(graph));
         if (redundant == 0) {
-            return {false, {{"removed", 0}}, {}};
+            return {false, {{"removed", 0}}};
         }
         graph = prune_redundant_channels(graph);
-        return {true, {{"removed", redundant}}, {}};
+        return {true, {{"removed", redundant}}};
     }
 };
 
@@ -148,31 +148,10 @@ public:
             moved = moved || lag != 0;
         }
         if (!moved) {
-            return {false, {{"token-free-path", result.period}}, {}};
-        }
-        // A retiming only moves tokens between the SAME channels, so the
-        // whole rewrite is expressible as a MutationLog of initial_tokens
-        // events over stable ids — letting the executor refine the slots
-        // the preservation list above had to give up (the schedule slot
-        // re-validates against the new distribution instead of dropping).
-        MutationLog delta;
-        for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-            const Int before = graph.channel(c).initial_tokens;
-            const Int after = result.graph.channel(c).initial_tokens;
-            if (before == after) {
-                continue;
-            }
-            MutationEvent event;
-            event.kind = MutationKind::initial_tokens;
-            event.id = c;
-            event.old_a = before;
-            event.new_a = after;
-            delta.push(event);
+            return {false, {{"token-free-path", result.period}}};
         }
         graph = std::move(result.graph);
-        PassResult outcome{true, {{"token-free-path", result.period}}, {}};
-        outcome.delta = std::move(delta);
-        return outcome;
+        return {true, {{"token-free-path", result.period}}};
     }
 };
 
@@ -190,7 +169,7 @@ public:
         Graph expanded = to_hsdf_classic(graph).graph;
         const Int copies = static_cast<Int>(expanded.actor_count());
         graph = std::move(expanded);
-        return {true, {{"copies", copies}}, {}};
+        return {true, {{"copies", copies}}};
     }
 };
 
@@ -209,7 +188,7 @@ public:
         Graph reduced = to_hsdf_reduced(graph);
         const Int actors = static_cast<Int>(reduced.actor_count());
         graph = std::move(reduced);
-        return {true, {{"actors", actors}}, {}};
+        return {true, {{"actors", actors}}};
     }
 };
 
@@ -228,7 +207,7 @@ public:
         Graph abstracted = abstract_graph(graph, abstraction_by_name_suffix(graph));
         const Int actors = static_cast<Int>(abstracted.actor_count());
         graph = std::move(abstracted);
-        return {true, {{"actors", actors}}, {}};
+        return {true, {{"actors", actors}}};
     }
 };
 
@@ -244,7 +223,7 @@ public:
     PassResult run(Graph& graph, const PassParams&, AnalysisManager&) const override {
         SdfAbstraction result = abstract_sdf(graph);
         graph = std::move(result.abstract);
-        return {true, {{"fold", result.fold}}, {}};
+        return {true, {{"fold", result.fold}}};
     }
 };
 
@@ -266,12 +245,12 @@ public:
                    AnalysisManager&) const override {
         const Int n = params.at("n");
         if (n == 1) {
-            return {false, {{"n", 1}}, {}};
+            return {false, {{"n", 1}}};
         }
         Graph unfolded = unfold(graph, n);
         const Int actors = static_cast<Int>(unfolded.actor_count());
         graph = std::move(unfolded);
-        return {true, {{"n", n}, {"actors", actors}}, {}};
+        return {true, {{"n", n}, {"actors", actors}}};
     }
 };
 
@@ -292,7 +271,7 @@ public:
         const std::string name = graph.name().empty() ? "scenario" : graph.name();
         const ScenarioAnalysis analysis = analyse_scenarios({{name, graph}});
         graph = scenario_envelope_hsdf(analysis, name + "_envelope");
-        return {true, {{"scenarios", 1}}, {}};
+        return {true, {{"scenarios", 1}}};
     }
 };
 
@@ -322,7 +301,7 @@ public:
                 changed = true;
             }
         }
-        return {changed, {}, {}};
+        return {changed, {}};
     }
 };
 
@@ -344,11 +323,11 @@ public:
     }
     PassResult run(Graph& graph, const PassParams&, AnalysisManager&) const override {
         if (graph.channel_count() == 0) {
-            return {false, {}, {}};
+            return {false, {}};
         }
         const Int tokens = graph.channel(0).initial_tokens;
         graph.set_initial_tokens(0, checked_add(tokens, 1));
-        return {true, {{"bumped", 1}}, {}};
+        return {true, {{"bumped", 1}}};
     }
 };
 

@@ -27,7 +27,9 @@ std::optional<Int> PassParams::find(const std::string& name) const {
 
 Int PassParams::at(const std::string& name) const {
     const std::optional<Int> value = find(name);
-    require(value.has_value(), "pass parameter '" + name + "' was never set");
+    if (!value) {
+        throw InvalidGraphError("pass parameter '" + name + "' was never set");
+    }
     return *value;
 }
 
@@ -52,8 +54,9 @@ const PassRegistry& PassRegistry::instance() {
 
 void PassRegistry::add(std::unique_ptr<Pass> pass) {
     require(pass != nullptr, "cannot register a null pass");
-    require(find(pass->name()) == nullptr,
-            "pass '" + pass->name() + "' registered twice");
+    if (find(pass->name()) != nullptr) {
+        throw InvalidGraphError("pass '" + pass->name() + "' registered twice");
+    }
     passes_.push_back(std::move(pass));
 }
 

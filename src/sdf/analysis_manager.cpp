@@ -26,8 +26,7 @@ bool AnalysisManager::empty() const {
 }
 
 void AnalysisManager::adopt_matching(const AnalysisManager& from,
-                                     const std::vector<std::string>* filter,
-                                     bool untimed_only) {
+                                     const std::vector<std::string>* filter) {
     // Lock ordering: `from` is always the retired manager of a graph the
     // caller just replaced, never the adopting one, so the two locks
     // nest without a cycle.  Self-adoption is a no-op.
@@ -38,9 +37,6 @@ void AnalysisManager::adopt_matching(const AnalysisManager& from,
     const std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [key, source] : from.slots_) {
         if (!source.value) {
-            continue;
-        }
-        if (untimed_only && source.timed) {
             continue;
         }
         if (filter != nullptr &&
@@ -62,15 +58,11 @@ void AnalysisManager::adopt_matching(const AnalysisManager& from,
 
 void AnalysisManager::adopt(const AnalysisManager& from,
                             const std::vector<std::string>& analyses) {
-    adopt_matching(from, &analyses, false);
+    adopt_matching(from, &analyses);
 }
 
 void AnalysisManager::adopt_all(const AnalysisManager& from) {
-    adopt_matching(from, nullptr, false);
-}
-
-void AnalysisManager::adopt_untimed(const AnalysisManager& from) {
-    adopt_matching(from, nullptr, true);
+    adopt_matching(from, nullptr);
 }
 
 void AnalysisManager::refine_from(const AnalysisManager& from, const Graph& graph,
@@ -79,7 +71,7 @@ void AnalysisManager::refine_from(const AnalysisManager& from, const Graph& grap
         return;
     }
     // Snapshot the source slots so the hooks run without any lock held:
-    // refinement may consult sibling caches of either manager, and a held
+    // refinement may consult sibling caches of the target, and a held
     // lock would self-deadlock exactly like it would for compute().
     struct Pending {
         std::type_index key;
@@ -105,17 +97,16 @@ void AnalysisManager::refine_from(const AnalysisManager& from, const Graph& grap
         return std::string_view(a.slot.name) < std::string_view(b.slot.name);
     });
 
-    const RefineContext ctx{graph, log, from, *this};
+    const RefineContext ctx{graph, log, *this};
     for (const Pending& p : pending) {
         ErasedOutcome outcome;
         if (p.slot.refine_fn != nullptr) {
             try {
                 outcome = p.slot.refine_fn(p.slot.value, ctx);
             } catch (...) {
-                // A refinement failure (budget trip, injected fault, local
-                // re-solve discovering the result is gone) only costs the
-                // cache entry: the mutation itself must never fail, and a
-                // later query recomputes from scratch.
+                // A refinement failure (budget trip, injected fault) only
+                // costs the cache entry: the mutation itself must never
+                // fail, and a later query recomputes from scratch.
                 outcome.action = 0;
             }
         } else if (!p.slot.timed && log.timing_only()) {

@@ -27,18 +27,19 @@
 //
 // Every Graph owns a manager (Graph::analyses()).  Copies of a graph share
 // it until either copy mutates, and results cached for the old graph stay
-// with the old graph.  A structural mutation (add_actor, add_channel)
-// drops every result.  A value edit on the fixed structure (execution
-// time, tokens, rates) is no blanket invalidation: the setter records a
-// MutationEvent (sdf/mutation.hpp) and swaps in a fresh manager that
-// REFINES from the old one — per slot, the delta either
+// with the old graph.  A structural mutation (add_actor, add_channel) or a
+// rate edit (set_rates) drops every result: rates fix the repetition
+// vector and with it the iteration every other result describes.  A timing
+// or token edit on the fixed structure is no blanket invalidation: the
+// setter records a MutationEvent (sdf/mutation.hpp) and swaps in a fresh
+// manager that REFINES from the old one — per slot, the delta either
 //
 //   * KEEPS the cached value (a pure timing edit cannot move any untimed
-//     result; counted in `kept`),
-//   * REFINES it through the trait's optional refine() hook (repetition
-//     re-solved only on the weakly connected component a rate edit touched,
-//     throughput re-certified from the incremental max-plus state; counted
-//     in `refined`), or
+//     result, no logged edit moves the repetition vector; counted in
+//     `kept`),
+//   * REFINES it through the trait's optional refine() hook (throughput
+//     re-certified from the incremental max-plus state; counted in
+//     `refined`), or
 //   * DROPS it for lazy recomputation (the conservative default).
 //
 // A slot without a refine() hook follows the default rule: kept when the
@@ -52,9 +53,7 @@
 // a wrong cached value.
 //
 // The pass pipeline (src/pass) additionally moves slots *across* a
-// transformation when the pass declares them preserved (adopt()), or
-// refines them across a whole-graph rewrite when the pass emits a
-// MutationLog delta (pass.hpp `PassResult::delta`).
+// transformation when the pass declares them preserved (adopt()).
 //
 // Slots are filled under the mutex, but compute() runs OUTSIDE it: analyses
 // call back into the manager (throughput consults the repetition and
@@ -81,15 +80,13 @@ class Graph;
 class AnalysisManager;
 
 /// Everything a refine() hook may look at: the post-mutation graph, the
-/// delta, the pre-mutation manager (for sibling results computed against
-/// the OLD graph) and the manager being filled (for sibling results already
+/// delta and the manager being filled (for sibling results already
 /// kept/refined in an earlier phase).  Hooks must not call target.get<>()
 /// — refinement may consult caches, never trigger recomputation.
 struct RefineContext {
-    const Graph& graph;            ///< the graph AFTER the mutation
-    const MutationLog& log;        ///< what changed
-    const AnalysisManager& source; ///< manager of the pre-mutation graph
-    AnalysisManager& target;       ///< manager being refined into
+    const Graph& graph;        ///< the graph AFTER the mutation
+    const MutationLog& log;    ///< what changed
+    AnalysisManager& target;   ///< manager being refined into
 };
 
 /// What a refine() hook decided for one slot.
@@ -103,9 +100,6 @@ struct Refined {
     static Refined drop() { return {Action::dropped, nullptr}; }
     static Refined make(R refined_value) {
         return {Action::refined, std::make_shared<const R>(std::move(refined_value))};
-    }
-    static Refined share(std::shared_ptr<const R> refined_value) {
-        return {Action::refined, std::move(refined_value)};
     }
 };
 
@@ -200,29 +194,6 @@ public:
         return cached<A>() != nullptr;
     }
 
-    /// Installs a result for A computed elsewhere (the refinement hooks use
-    /// this to hand derived state to later phases).  Only fills an empty
-    /// slot — a concurrently computed first result wins, as everywhere —
-    /// and counts as `refined` when `as_refined`, as `adopted` otherwise.
-    template <typename A>
-    void install(std::shared_ptr<const typename A::Result> value, bool as_refined) {
-        if (!value) {
-            return;
-        }
-        const std::lock_guard<std::mutex> lock(mutex_);
-        Slot& slot = slots_[std::type_index(typeid(A))];
-        describe_slot<A>(slot);
-        if (slot.value) {
-            return;
-        }
-        slot.value = std::move(value);
-        if (as_refined) {
-            ++slot.refined;
-        } else {
-            ++slot.adopted;
-        }
-    }
-
     /// True when a slot with this kName holds a result.
     [[nodiscard]] bool has(const std::string& analysis) const;
 
@@ -236,10 +207,6 @@ public:
 
     /// adopt() for every slot `from` holds.
     void adopt_all(const AnalysisManager& from);
-
-    /// adopt() for every slot whose analysis is not time-sensitive; what
-    /// the timing-only refinement default reduces to.
-    void adopt_untimed(const AnalysisManager& from);
 
     /// Refines every cached result of `from` through the mutation delta
     /// `log` into this manager (see the file comment for the per-slot
@@ -305,7 +272,7 @@ private:
     }
 
     void adopt_matching(const AnalysisManager& from,
-                        const std::vector<std::string>* filter, bool untimed_only);
+                        const std::vector<std::string>* filter);
 
     mutable std::mutex mutex_;
     std::unordered_map<std::type_index, Slot> slots_;

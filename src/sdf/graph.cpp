@@ -21,7 +21,7 @@ void Graph::drop_analyses() {
     // structure: leave them to the copy.  An unshared, empty manager already
     // is what a fresh one would be, so the parser and the conversions fill a
     // graph without allocating one manager per element.  Runs before the
-    // structural change, so a failed allocation leaves the graph unchanged.
+    // change, so a failed allocation leaves the graph unchanged.
     if (analyses_.use_count() != 1 || !analyses_->empty()) {
         analyses_ = std::make_shared<AnalysisManager>();
     }
@@ -54,11 +54,11 @@ ChannelId Graph::add_channel(ActorId src, ActorId dst, Int production, Int consu
     return id;
 }
 
-void Graph::set_execution_time(ActorId id, Int execution_time) {
+bool Graph::set_execution_time(ActorId id, Int execution_time) {
     require(id < actors_.size(), "actor id out of range");
     require(execution_time >= 0, "negative execution time");
     if (actors_[id].execution_time == execution_time) {
-        return;  // no-op edit: nothing changed, the whole cache stands
+        return false;  // no-op edit: nothing changed, the whole cache stands
     }
     MutationEvent event;
     event.kind = MutationKind::execution_time;
@@ -67,13 +67,14 @@ void Graph::set_execution_time(ActorId id, Int execution_time) {
     event.new_a = execution_time;
     actors_[id].execution_time = execution_time;
     record_mutation(event);
+    return true;
 }
 
-void Graph::set_initial_tokens(ChannelId id, Int initial_tokens) {
+bool Graph::set_initial_tokens(ChannelId id, Int initial_tokens) {
     require(id < channels_.size(), "channel id out of range");
     require(initial_tokens >= 0, "negative initial tokens");
     if (channels_[id].initial_tokens == initial_tokens) {
-        return;  // no-op edit
+        return false;  // no-op edit
     }
     MutationEvent event;
     event.kind = MutationKind::initial_tokens;
@@ -82,26 +83,21 @@ void Graph::set_initial_tokens(ChannelId id, Int initial_tokens) {
     event.new_a = initial_tokens;
     channels_[id].initial_tokens = initial_tokens;
     record_mutation(event);
+    return true;
 }
 
-void Graph::set_rates(ChannelId id, Int production, Int consumption) {
+bool Graph::set_rates(ChannelId id, Int production, Int consumption) {
     require(id < channels_.size(), "channel id out of range");
     require(production > 0, "channel production rate must be positive");
     require(consumption > 0, "channel consumption rate must be positive");
     Channel& channel = channels_[id];
     if (channel.production == production && channel.consumption == consumption) {
-        return;  // no-op edit
+        return false;  // no-op edit
     }
-    MutationEvent event;
-    event.kind = MutationKind::rates;
-    event.id = id;
-    event.old_a = channel.production;
-    event.new_a = production;
-    event.old_b = channel.consumption;
-    event.new_b = consumption;
+    drop_analyses();
     channel.production = production;
     channel.consumption = consumption;
-    record_mutation(event);
+    return true;
 }
 
 std::optional<ActorId> Graph::find_actor(const std::string& name) const {

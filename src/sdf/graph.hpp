@@ -76,16 +76,19 @@ public:
     [[nodiscard]] const std::vector<Channel>& channels() const { return channels_; }
 
     /// Updates an actor's execution time (used by abstraction & generators).
-    /// A no-op edit (same value) records nothing and keeps the cache whole.
-    void set_execution_time(ActorId id, Int execution_time);
+    /// Returns true when the value changed; a no-op edit records nothing and
+    /// keeps the cache whole.
+    bool set_execution_time(ActorId id, Int execution_time);
 
     /// Replaces a channel's initial-token count (used by buffer modelling).
-    /// A no-op edit records nothing and keeps the cache whole.
-    void set_initial_tokens(ChannelId id, Int initial_tokens);
+    /// Returns true when the value changed; a no-op edit records nothing.
+    bool set_initial_tokens(ChannelId id, Int initial_tokens);
 
     /// Replaces a channel's production/consumption rates (both positive).
-    /// A no-op edit records nothing and keeps the cache whole.
-    void set_rates(ChannelId id, Int production, Int consumption);
+    /// Returns true when the rates changed.  A rate edit changes the
+    /// iteration itself, so like add_channel it drops every result; a
+    /// no-op edit keeps the cache whole.
+    bool set_rates(ChannelId id, Int production, Int consumption);
 
     /// Id of the actor with this exact name, if any.
     [[nodiscard]] std::optional<ActorId> find_actor(const std::string& name) const;
@@ -104,25 +107,26 @@ public:
     /// This graph's analysis cache (see sdf/analysis_manager.hpp).  Copies
     /// of a graph share the manager until either copy mutates, and results
     /// cached for the old graph stay with the old graph:
-    ///   * a value edit (set_*) swaps in a fresh manager refined from the old
-    ///     one through the recorded delta, so everything the edit cannot move
-    ///     stays with this graph;
-    ///   * a structural edit (add_*) drops every result.  It swaps in a
-    ///     fresh, empty manager only when the current one is shared or holds
-    ///     a result, so building a graph allocates one manager, not one per
-    ///     element.
+    ///   * a timing or token edit (set_execution_time, set_initial_tokens)
+    ///     swaps in a fresh manager refined from the old one through the
+    ///     recorded delta, so everything the edit cannot move stays with
+    ///     this graph;
+    ///   * a rate edit (set_rates) or a structural edit (add_*) drops every
+    ///     result.  It swaps in a fresh, empty manager only when the current
+    ///     one is shared or holds a result, so building a graph allocates
+    ///     one manager, not one per element.
     [[nodiscard]] const std::shared_ptr<AnalysisManager>& analyses() const {
         return analyses_;
     }
 
 private:
-    /// Called by the setters AFTER applying a value edit: swaps in a fresh
-    /// manager refined from the old one through the single-event delta.
-    /// Never throws.
+    /// Called by the timing and token setters AFTER applying the edit: swaps
+    /// in a fresh manager refined from the old one through the single-event
+    /// delta.  Never throws.
     void record_mutation(const MutationEvent& event);
 
-    /// Called by add_actor/add_channel: makes sure this graph's manager is
-    /// its own and holds no result.
+    /// Called by add_actor/add_channel/set_rates: makes sure this graph's
+    /// manager is its own and holds no result.
     void drop_analyses();
 
     std::string name_;

@@ -1,28 +1,27 @@
 // mutation.hpp — the typed mutation-delta protocol of the graph model.
 //
-// A value edit on a fixed structure (execution time, initial tokens,
-// rates) describes WHAT changed as a MutationEvent instead of blanketly
-// discarding the analysis cache: the setter swaps in a fresh manager filled
-// by `refine_from(old, graph, log)`, which asks every cached analysis slot
-// how it survives the delta — kept unchanged, refined in place, or dropped
-// for lazy recomputation (see sdf/analysis_manager.hpp for the per-slot
-// contract and docs/INCREMENTAL.md for the full protocol).  Structural
-// mutators (add_actor, add_channel) record no event: they start the graph
-// on an empty manager.  The graph keeps no history: the event lives only
-// as long as that refinement.
+// A timing or token edit on a fixed structure describes WHAT changed as a
+// MutationEvent instead of blanketly discarding the analysis cache: the
+// setter swaps in a fresh manager filled by `refine_from(old, graph, log)`,
+// which asks every cached analysis slot how it survives the delta — kept
+// unchanged, refined in place, or dropped for lazy recomputation (see
+// sdf/analysis_manager.hpp for the per-slot contract and docs/INCREMENTAL.md
+// for the full protocol).  Rate edits (set_rates) and structural mutators
+// (add_actor, add_channel) record no event: the repetition vector fixes the
+// firings of one iteration, so they start the graph on an empty manager.
+// The graph keeps no history: the event lives only as long as that
+// refinement.
 //
 // Events are value records of the pre- and post-edit scalars, so refinement
 // hooks can reason about the *direction* of a change (a token increase can
 // never introduce a deadlock; a pure execution-time edit cannot touch any
-// untimed result).  A MutationLog is an ordered batch of events: the setters
-// hand a one-event log to refine_from, and passes may emit one log for a
-// whole rewrite (pass/pass.hpp `PassResult::delta`).  The serve `edit` op
-// applies a client-provided script through the setters, one event each.
+// untimed result).  A MutationLog is an ordered batch of events; the
+// setters hand a one-event log to refine_from.  The serve `edit` op applies
+// a client-provided script through the setters, one event each.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <vector>
 
 #include "base/checked.hpp"
@@ -32,23 +31,19 @@ namespace sdf {
 using ActorId = std::size_t;
 using ChannelId = std::size_t;
 
-/// What one value edit did to the graph.  Every kind keeps the actor and
-/// channel index spaces stable, so positional results refine entry-wise.
+/// What one value edit did to the graph.  Both kinds keep the structure
+/// and the rates fixed, so positional results refine entry-wise.
 enum class MutationKind : std::uint8_t {
     execution_time,   ///< set_execution_time; old_a -> new_a on actor `id`
-    rates,            ///< set_rates; (old_a, old_b) -> (new_a, new_b) = (p, c)
     initial_tokens,   ///< set_initial_tokens; old_a -> new_a on channel `id`
 };
 
-/// One recorded mutation.  The scalar pairs are meaningful per kind (see
-/// MutationKind); unused pairs stay zero.
+/// One recorded mutation.
 struct MutationEvent {
     MutationKind kind = MutationKind::execution_time;
     std::size_t id = 0;  ///< actor or channel id, per kind
-    Int old_a = 0;       ///< execution time / production / initial tokens
+    Int old_a = 0;       ///< execution time / initial tokens
     Int new_a = 0;
-    Int old_b = 0;       ///< consumption (rates only)
-    Int new_b = 0;
 
     friend bool operator==(const MutationEvent&, const MutationEvent&) = default;
 };
@@ -67,17 +62,16 @@ public:
 
     /// Only execution-time edits: no untimed result can change.
     [[nodiscard]] bool timing_only() const {
-        return all_of_kinds({MutationKind::execution_time});
-    }
-
-    /// Only execution-time and/or initial-token edits: rates, and with them
-    /// the repetition vector and consistency, are untouched.
-    [[nodiscard]] bool timing_or_tokens_only() const {
-        return all_of_kinds({MutationKind::execution_time, MutationKind::initial_tokens});
+        for (const MutationEvent& e : events_) {
+            if (e.kind != MutationKind::execution_time) {
+                return false;
+            }
+        }
+        return true;
     }
 
     /// True when every token edit in the log moves in the given direction
-    /// (increase when `increase`, decrease otherwise).  Non-token events are
+    /// (increase when `increase`, decrease otherwise).  Timing events are
     /// ignored; an empty log is trivially monotone.
     [[nodiscard]] bool tokens_monotone(bool increase) const {
         for (const MutationEvent& e : events_) {
@@ -92,22 +86,6 @@ public:
     }
 
 private:
-    [[nodiscard]] bool all_of_kinds(std::initializer_list<MutationKind> kinds) const {
-        for (const MutationEvent& e : events_) {
-            bool found = false;
-            for (const MutationKind k : kinds) {
-                if (e.kind == k) {
-                    found = true;
-                    break;
-                }
-            }
-            if (!found) {
-                return false;
-            }
-        }
-        return true;
-    }
-
     std::vector<MutationEvent> events_;
 };
 

@@ -89,114 +89,15 @@ std::vector<Int> compute_repetition_vector(const Graph& graph) {
     return result;
 }
 
-/// Re-solves the balance equations on every weakly connected component that
-/// contains a seed actor, writing each component's normalised local
-/// solution into `result` (entries of untouched components stay as they
-/// are).  Components normalise independently in compute_repetition_vector
-/// too, so splicing a local re-solve into a stale global vector is exact.
-/// Throws InconsistentGraphError exactly like the full solve.
-void resolve_components_of(const Graph& graph, const std::vector<ActorId>& seeds,
-                           std::vector<Int>& result) {
-    const std::size_t n = graph.actor_count();
-    std::vector<std::vector<ChannelId>> adjacent(n);
-    for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-        adjacent[graph.channel(c).src].push_back(c);
-        adjacent[graph.channel(c).dst].push_back(c);
-    }
-    std::vector<Rational> rate(n, Rational(0));
-    std::vector<bool> visited(n, false);
-    for (const ActorId seed : seeds) {
-        if (seed >= n || visited[seed]) {
-            continue;
-        }
-        std::vector<ActorId> component;
-        std::vector<ActorId> stack{seed};
-        visited[seed] = true;
-        rate[seed] = Rational(1);
-        while (!stack.empty()) {
-            const ActorId a = stack.back();
-            stack.pop_back();
-            component.push_back(a);
-            for (const ChannelId ci : adjacent[a]) {
-                const Channel& ch = graph.channel(ci);
-                const ActorId other = (ch.src == a) ? ch.dst : ch.src;
-                const Rational implied = (ch.src == a)
-                    ? rate[a] * Rational(ch.production, ch.consumption)
-                    : rate[a] * Rational(ch.consumption, ch.production);
-                if (!visited[other]) {
-                    visited[other] = true;
-                    rate[other] = implied;
-                    stack.push_back(other);
-                } else if (rate[other] != implied) {
-                    throw InconsistentGraphError(
-                        "balance equations unsolvable at channel " +
-                        graph.actor(ch.src).name + " -> " + graph.actor(ch.dst).name);
-                }
-            }
-        }
-        Int den_lcm = 1;
-        for (const ActorId a : component) {
-            den_lcm = checked_lcm(den_lcm, rate[a].den());
-        }
-        Int num_gcd = 0;
-        for (const ActorId a : component) {
-            const Int scaled = checked_mul(rate[a].num(), den_lcm / rate[a].den());
-            num_gcd = gcd(num_gcd, scaled);
-        }
-        for (const ActorId a : component) {
-            const Int scaled = checked_mul(rate[a].num(), den_lcm / rate[a].den());
-            result[a] = scaled / num_gcd;
-        }
-    }
-    // The DFS checks every channel from at least one side except self-loops
-    // with p != c; verify every channel inside the re-solved region.
-    for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-        const Channel& ch = graph.channel(c);
-        if (!visited[ch.src] && !visited[ch.dst]) {
-            continue;
-        }
-        if (checked_mul(result[ch.src], ch.production) !=
-            checked_mul(result[ch.dst], ch.consumption)) {
-            throw InconsistentGraphError(
-                "balance equation violated at channel " + graph.actor(ch.src).name +
-                " -> " + graph.actor(ch.dst).name);
-        }
-    }
-}
-
-/// Endpoints of every rate-edited channel: the seeds of the dirty weakly
-/// connected components a delta can touch.
-std::vector<ActorId> rate_dirty_actors(const Graph& graph, const MutationLog& log) {
-    std::vector<ActorId> dirty;
-    for (const MutationEvent& e : log.events()) {
-        if (e.kind != MutationKind::rates || e.id >= graph.channel_count()) {
-            continue;
-        }
-        dirty.push_back(graph.channel(e.id).src);
-        dirty.push_back(graph.channel(e.id).dst);
-    }
-    return dirty;
-}
-
 }  // namespace
 
 std::vector<Int> RepetitionVectorAnalysis::compute(const Graph& graph) {
     return compute_repetition_vector(graph);
 }
 
-Refined<std::vector<Int>> RepetitionVectorAnalysis::refine(const Result& old,
-                                                           const RefineContext& ctx) {
-    using Out = Refined<Result>;
-    if (ctx.log.timing_or_tokens_only()) {
-        return Out::keep();  // rates untouched, the vector cannot move
-    }
-    if (old.size() != ctx.graph.actor_count()) {
-        return Out::drop();
-    }
-    // Rate edits: re-solve only the dirty weakly connected components.
-    Result updated = old;
-    resolve_components_of(ctx.graph, rate_dirty_actors(ctx.graph, ctx.log), updated);
-    return Out::make(std::move(updated));
+Refined<std::vector<Int>> RepetitionVectorAnalysis::refine(const Result&,
+                                                           const RefineContext&) {
+    return Refined<Result>::keep();  // logged edits leave the rates alone
 }
 
 bool ConsistencyAnalysis::compute(const Graph& graph) {
@@ -208,23 +109,8 @@ bool ConsistencyAnalysis::compute(const Graph& graph) {
     }
 }
 
-Refined<bool> ConsistencyAnalysis::refine(const Result& old, const RefineContext& ctx) {
-    using Out = Refined<Result>;
-    if (ctx.log.timing_or_tokens_only()) {
-        return Out::keep();
-    }
-    if (!old) {
-        return Out::drop();  // a rate edit may have balanced the system
-    }
-    // The untouched components kept their solutions; only the dirty ones
-    // can have become unsolvable.
-    std::vector<Int> scratch(ctx.graph.actor_count(), 0);
-    try {
-        resolve_components_of(ctx.graph, rate_dirty_actors(ctx.graph, ctx.log), scratch);
-    } catch (const InconsistentGraphError&) {
-        return Out::make(false);
-    }
-    return Out::keep();
+Refined<bool> ConsistencyAnalysis::refine(const Result&, const RefineContext&) {
+    return Refined<Result>::keep();
 }
 
 std::vector<Int> repetition_vector(const Graph& graph) {

@@ -26,11 +26,9 @@ std::vector<Int> repetition_vector(const Graph& graph);
 bool is_consistent(const Graph& graph);
 
 /// AnalysisManager slot behind repetition_vector() (see
-/// sdf/analysis_manager.hpp for the traits contract).  Delta-aware: timing
-/// and token edits keep the vector untouched (it depends on rates only), a
-/// rate edit re-solves ONLY the weakly connected component the edited
-/// channel lives in and splices the local solution into the old vector
-/// (components are normalised independently, so the splice is exact).
+/// sdf/analysis_manager.hpp for the traits contract).  Delta-aware: the
+/// vector depends on rates only, and a rate edit records no delta (it drops
+/// every result), so every delta keeps it.
 struct RepetitionVectorAnalysis {
     using Result = std::vector<Int>;
     static constexpr const char* kName = "repetition";
@@ -39,9 +37,8 @@ struct RepetitionVectorAnalysis {
     static Refined<Result> refine(const Result& old, const RefineContext& ctx);
 };
 
-/// AnalysisManager slot behind is_consistent().  Delta-aware: invariant
-/// under timing/token edits; under rate edits a consistent graph re-checks
-/// only the dirty component (the others kept their solutions).
+/// AnalysisManager slot behind is_consistent().  Delta-aware: like the
+/// repetition vector, every delta keeps it.
 struct ConsistencyAnalysis {
     using Result = bool;
     static constexpr const char* kName = "consistency";

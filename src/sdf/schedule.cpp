@@ -151,9 +151,6 @@ Refined<std::vector<ActorId>> SequentialScheduleAnalysis::refine(
     if (ctx.log.timing_only()) {
         return Out::keep();
     }
-    if (!ctx.log.timing_or_tokens_only()) {
-        return Out::drop();  // rate edits reshape the iteration
-    }
     // Validation cost is O(firings); past this the certificate check would
     // rival recomputation, so fall back to the lazy path.
     constexpr std::size_t kMaxValidatedFirings = std::size_t{1} << 16;
@@ -181,9 +178,6 @@ Refined<bool> LivenessAnalysis::refine(const Result& old, const RefineContext& c
     using Out = Refined<Result>;
     if (ctx.log.timing_only()) {
         return Out::keep();  // timing is invisible to liveness
-    }
-    if (!ctx.log.timing_or_tokens_only()) {
-        return Out::drop();
     }
     if (old && ctx.log.tokens_monotone(/*increase=*/true)) {
         return Out::keep();  // more tokens cannot introduce a deadlock

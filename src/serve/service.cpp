@@ -495,9 +495,10 @@ Json ServeCore::op_edit(const Request& request, const CancellationToken& token,
     }
 
     // The copy shares the parent's AnalysisManager until the first edit;
-    // each mutator then records a MutationEvent and swaps in a manager
-    // REFINED from the previous one (sdf/mutation.hpp), so the parent's
-    // cached slots survive into the child wherever the delta allows.
+    // each timing or token edit then records a MutationEvent and swaps in a
+    // manager REFINED from the previous one (sdf/mutation.hpp), so the
+    // parent's cached slots survive into the child wherever the delta
+    // allows.  A rate edit starts the child over on an empty manager.
     Graph child = parent.graph;
     std::uint64_t applied = 0;
     std::uint64_t kept = 0;
@@ -505,14 +506,14 @@ Json ServeCore::op_edit(const Request& request, const CancellationToken& token,
     for (std::size_t i = 0; i < request.edits.size(); ++i) {
         const EditStep& step = request.edits[i];
         const std::string at = " (edit #" + std::to_string(i) + ")";
-        const AnalysisManager* before = child.analyses().get();
+        bool changed = false;
         switch (step.kind) {
             case EditStep::Kind::execution_time: {
                 const std::optional<ActorId> actor = child.find_actor(step.actor);
                 if (!actor) {
                     throw BadRequestError("unknown actor \"" + step.actor + "\"" + at);
                 }
-                child.set_execution_time(*actor, step.value);
+                changed = child.set_execution_time(*actor, step.value);
                 break;
             }
             case EditStep::Kind::initial_tokens: {
@@ -522,7 +523,7 @@ Json ServeCore::op_edit(const Request& request, const CancellationToken& token,
                         " out of range (graph has " +
                         std::to_string(child.channel_count()) + ")" + at);
                 }
-                child.set_initial_tokens(step.channel, step.value);
+                changed = child.set_initial_tokens(step.channel, step.value);
                 break;
             }
             case EditStep::Kind::rates: {
@@ -532,15 +533,17 @@ Json ServeCore::op_edit(const Request& request, const CancellationToken& token,
                         " out of range (graph has " +
                         std::to_string(child.channel_count()) + ")" + at);
                 }
-                child.set_rates(step.channel, step.production, step.consumption);
+                changed =
+                    child.set_rates(step.channel, step.production, step.consumption);
                 break;
             }
         }
-        // Each applied mutation swaps in a fresh manager whose kept/refined
-        // counters describe that one refinement; no-op edits keep the old
-        // manager (and would double-count it), so they count as neither
-        // applied nor refined.
-        if (child.analyses().get() != before) {
+        // A timing or token edit swaps in a fresh manager whose kept/refined
+        // counters describe that one refinement; a rate edit leaves an empty
+        // one, which counts nothing.  No-op edits keep the old manager (and
+        // would double-count it), so they count as neither applied nor
+        // refined.
+        if (changed) {
             ++applied;
             for (const AnalysisSlotStats& slot : child.analyses()->stats()) {
                 kept += slot.kept;

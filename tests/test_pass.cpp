@@ -235,16 +235,28 @@ TEST(PipelineExecutor, AdoptsDeclaredPreservedAnalyses) {
 }
 
 TEST(PipelineExecutor, RetimingCarriesTheFullThroughputResult) {
-    Graph g = ring(4, 2);
-    const auto before = cached_throughput(g);  // warm the timed slot
-    ASSERT_TRUE(before->is_finite());
-    const PipelineRun run = PipelineExecutor().run(parse_pipeline("retiming"), g);
-    if (run.reports[0].changed) {
-        ASSERT_TRUE(run.graph.analyses()->is_cached<ThroughputAnalysis>());
-        const auto adopted = run.graph.analyses()->cached<ThroughputAnalysis>();
-        EXPECT_EQ(adopted->period, before->period);
-        // The adopted value matches a from-scratch recomputation.
-        EXPECT_EQ(throughput_symbolic(run.graph).period, before->period);
+    // Equal times with one token, and times 1..4 with three tokens on the
+    // closing channel (enough slack that retiming spreads them).
+    Graph uneven("ring4");
+    for (Int time = 1; time <= 4; ++time) {
+        uneven.add_actor("a" + std::to_string(time), time);
+    }
+    for (ActorId a = 0; a < 4; ++a) {
+        uneven.add_channel(a, (a + 1) % 4, a == 3 ? 3 : 0);
+    }
+    for (const Graph& input : {ring(4, 2), uneven}) {
+        SCOPED_TRACE(input.name());
+        Graph g = input;
+        const auto before = cached_throughput(g);  // warm the timed slot
+        ASSERT_TRUE(before->is_finite());
+        const PipelineRun run = PipelineExecutor().run(parse_pipeline("retiming"), g);
+        if (run.reports[0].changed) {
+            ASSERT_TRUE(run.graph.analyses()->is_cached<ThroughputAnalysis>());
+            const auto adopted = run.graph.analyses()->cached<ThroughputAnalysis>();
+            EXPECT_EQ(adopted->period, before->period);
+            // The adopted value matches a from-scratch recomputation.
+            EXPECT_EQ(throughput_symbolic(run.graph).period, before->period);
+        }
     }
 }
 

@@ -335,6 +335,149 @@ TEST(ServeCache, ContentIdIsStable) {
 }
 
 // ---------------------------------------------------------------------------
+// The edit op
+// ---------------------------------------------------------------------------
+
+constexpr const char* kEditModel =
+    "graph g\nactor a 2\nactor b 3\n"
+    "channel a b 1 1 0\nchannel b a 1 1 2\n";
+
+/// An `edit` request on `model` applying the JSON array `edits`.
+std::string edit_line(std::int64_t id, const std::string& model, const std::string& edits,
+                      const std::string& then = "") {
+    Json request = Json::object();
+    request.set("id", Json::integer(id));
+    request.set("op", Json::string("edit"));
+    request.set("model", Json::string(model));
+    request.set("edits", Json::parse(edits));
+    if (!then.empty()) {
+        request.set("then", Json::string(then));
+    }
+    return request.dump();
+}
+
+/// The `delta` object of a `stats` response.
+Json delta_stats(ServeCore& core) {
+    const Json stats = Json::parse(core.handle_line("{\"id\":0,\"op\":\"stats\"}"));
+    return *result_of(stats)->find("delta");
+}
+
+std::int64_t applied_of(const Json& response) {
+    EXPECT_TRUE(response.find("ok")->as_boolean()) << response.dump();
+    return result_of(response)->find("applied")->as_integer();
+}
+
+TEST(ServeEdit, AppliedCountsRealChangesOfEveryKind) {
+    ServeCore core;
+    const auto applied = [&](const std::string& edits) {
+        return applied_of(Json::parse(core.handle_line(edit_line(1, kEditModel, edits))));
+    };
+    // Steps that set the values the model already holds change nothing.
+    EXPECT_EQ(applied(R"([{"set":"execution-time","actor":"a","time":2},
+                          {"set":"initial-tokens","channel":1,"tokens":2},
+                          {"set":"rates","channel":0,"production":1,"consumption":1}])"),
+              0);
+    EXPECT_EQ(applied(R"([{"set":"execution-time","actor":"a","time":5}])"), 1);
+    EXPECT_EQ(applied(R"([{"set":"initial-tokens","channel":1,"tokens":3}])"), 1);
+    // The second rate step runs on the unshared, empty manager the first
+    // one left behind; it still counts.
+    EXPECT_EQ(applied(R"([{"set":"rates","channel":0,"production":2,"consumption":1},
+                          {"set":"rates","channel":1,"production":1,"consumption":2}])"),
+              2);
+    EXPECT_EQ(applied(R"([{"set":"rates","channel":0,"production":2,"consumption":1},
+                          {"set":"rates","channel":0,"production":2,"consumption":1},
+                          {"set":"rates","channel":1,"production":1,"consumption":2}])"),
+              2);
+}
+
+TEST(ServeEdit, UnknownTargetsAnswer400NamingTheStep) {
+    ServeCore core;
+    const auto message_of = [&](const std::string& edits) {
+        const Json response =
+            Json::parse(core.handle_line(edit_line(1, kEditModel, edits)));
+        EXPECT_FALSE(response.find("ok")->as_boolean());
+        const Json* error = response.find("error");
+        if (error == nullptr) {
+            ADD_FAILURE() << "no error in " << response.dump();
+            return std::string();
+        }
+        EXPECT_EQ(error->find("code")->as_integer(), 400);
+        EXPECT_EQ(error->find("kind")->as_string(), "bad-request");
+        return error->find("message")->as_string();
+    };
+    const std::string actor =
+        message_of(R"([{"set":"execution-time","actor":"a","time":4},
+                       {"set":"execution-time","actor":"zz","time":1}])");
+    EXPECT_NE(actor.find("unknown actor \"zz\""), std::string::npos) << actor;
+    EXPECT_NE(actor.find("(edit #1)"), std::string::npos) << actor;
+    const std::string channel =
+        message_of(R"([{"set":"rates","channel":2,"production":1,"consumption":1}])");
+    EXPECT_NE(channel.find("channel 2 out of range"), std::string::npos) << channel;
+    EXPECT_NE(channel.find("(edit #0)"), std::string::npos) << channel;
+}
+
+TEST(ServeEdit, ThenThroughputEqualsADirectRequestOnTheEditedModel) {
+    struct Case {
+        const char* edits;
+        const char* edited;
+    };
+    const Case cases[] = {
+        {R"([{"set":"execution-time","actor":"a","time":7}])",
+         "graph g\nactor a 7\nactor b 3\n"
+         "channel a b 1 1 0\nchannel b a 1 1 2\n"},
+        {R"([{"set":"rates","channel":0,"production":2,"consumption":1},
+            {"set":"rates","channel":1,"production":1,"consumption":2}])",
+         "graph g\nactor a 2\nactor b 3\n"
+         "channel a b 2 1 0\nchannel b a 1 2 2\n"},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.edits);
+        ServeCore core;
+        const Json edited =
+            Json::parse(core.handle_line(edit_line(1, kEditModel, c.edits, "throughput")));
+        ASSERT_TRUE(edited.find("ok")->as_boolean()) << edited.dump();
+        const Json* then = result_of(edited)->find("then");
+        ASSERT_NE(then, nullptr);
+        // A fresh core answers the edited text from scratch.
+        ServeCore direct_core;
+        const Json direct =
+            Json::parse(direct_core.handle_line(throughput_line(2, c.edited)));
+        ASSERT_NE(result_of(direct), nullptr) << direct.dump();
+        EXPECT_EQ(then->find("result")->dump(), result_of(direct)->dump());
+    }
+}
+
+TEST(ServeEdit, StatsDeltaEditsGrowByTheAppliedSum) {
+    ServeCore core;
+    const Json before = delta_stats(core);
+    std::int64_t applied = 0;
+    for (const char* edits :
+         {R"([{"set":"execution-time","actor":"a","time":5}])",
+          R"([{"set":"execution-time","actor":"b","time":3}])",
+          R"([{"set":"initial-tokens","channel":1,"tokens":4},
+              {"set":"execution-time","actor":"b","time":6}])"}) {
+        applied +=
+            applied_of(Json::parse(core.handle_line(edit_line(1, kEditModel, edits))));
+    }
+    const Json after = delta_stats(core);
+    EXPECT_EQ(applied, 3);
+    EXPECT_EQ(after.find("edits")->as_integer() - before.find("edits")->as_integer(),
+              applied);
+
+    // Rate steps start the child over: nothing is left to keep or refine.
+    const std::string rate_steps =
+        R"([{"set":"rates","channel":0,"production":2,"consumption":1},
+            {"set":"rates","channel":1,"production":1,"consumption":2}])";
+    applied =
+        applied_of(Json::parse(core.handle_line(edit_line(2, kEditModel, rate_steps))));
+    const Json rates = delta_stats(core);
+    EXPECT_EQ(applied, 2);
+    EXPECT_EQ(rates.find("edits")->as_integer() - after.find("edits")->as_integer(), 2);
+    EXPECT_EQ(rates.find("kept")->as_integer(), after.find("kept")->as_integer());
+    EXPECT_EQ(rates.find("refined")->as_integer(), after.find("refined")->as_integer());
+}
+
+// ---------------------------------------------------------------------------
 // Fuzz-smoke op and oracle registration
 // ---------------------------------------------------------------------------
 

@@ -548,10 +548,6 @@ int cmd_pipeline(const std::string& path, const std::string& spec, bool verify_e
         if (!report.carried.empty()) {
             std::cout << "  [carried: " << join(report.carried, ", ") << "]";
         }
-        if (report.kept > 0 || report.refined > 0) {
-            std::cout << "  [delta: " << report.kept << " kept, " << report.refined
-                      << " refined]";
-        }
         if (report.verified) {
             std::cout << "  [verified]";
         }
