@@ -22,7 +22,14 @@ namespace serve {
 
 namespace {
 
-constexpr char kMagic[8] = {'S', 'D', 'F', 'R', 'E', 'D', 'P', '1'};
+/// The version of the persisted answers, carried as the last byte of the
+/// magic.  Bump it whenever a change moves a result the daemon caches (the
+/// goldens under data/serve/ and data/reduced/ move with it, and a test pins
+/// the pair): a record of any other version fails the magic check, so it is
+/// quarantined and recomputed instead of replayed.
+constexpr int kResultsVersion = 2;
+static_assert(kResultsVersion >= 1 && kResultsVersion <= 9, "one magic digit");
+constexpr char kMagic[8] = {'S', 'D', 'F', 'R', 'E', 'D', 'P', '0' + kResultsVersion};
 constexpr std::size_t kHeaderBytes = 28;  // magic + exit + three lengths
 constexpr std::size_t kTrailerBytes = 8;
 constexpr const char* kEntrySuffix = ".sdfp";

@@ -29,10 +29,13 @@
 // the model's canonical text — and repopulates the GraphStore with
 // bit-identical results.
 //
-// The record format is versioned and little-endian by definition:
+// The record format is versioned and little-endian by definition.  The
+// last digit of the magic is the results version (kResultsVersion in
+// persist.cpp): it moves whenever an answer the daemon caches changes, and
+// a record with another version is quarantined, never replayed.
 //
 //   offset  size  field
-//   0       8     magic "SDFREDP1"
+//   0       8     magic "SDFREDP2" (results version 2)
 //   8       4     exit code (int32)
 //   12      4     graph_key length (uint32)
 //   16      4     op_key length (uint32)

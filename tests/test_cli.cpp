@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "csdf/graph.hpp"
@@ -57,6 +58,39 @@ TEST_F(CliTest, NoArgumentsPrintsUsage) {
     const CliResult r = run_cli("");
     EXPECT_EQ(r.exit_code, 2);
     EXPECT_NE(r.output.find("usage:"), std::string::npos);
+}
+
+TEST_F(CliTest, UsageListsEveryCommand) {
+    const CliResult r = run_cli("");
+    for (const char* command :
+         {"info", "analyze", "deadlock", "schedule", "convert", "pipeline", "unfold",
+          "sensitivity", "storage", "pareto", "csdf-analyze", "csdf-reduce", "lint", "fuzz",
+          "serve"}) {
+        const std::string synopsis = std::string("sdfred_cli ") + command + " ";
+        EXPECT_NE(r.output.find(synopsis), std::string::npos) << command;
+    }
+}
+
+TEST_F(CliTest, FlagsACommandDoesNotTakeAreInvocationErrors) {
+    // Each of these used to run and ignore the flag: without the budget the
+    // user set, or without writing the file the user asked for.
+    const std::string model = dir_ + "/h263.sdf";
+    const std::string out = dir_ + "/never_written.sdf";
+    std::filesystem::remove(out);
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"info " + model + " --certify", "error: info does not take --certify"},
+        {"sensitivity " + model + " --max-steps 1",
+         "error: sensitivity does not take --max-steps"},
+        {"deadlock " + model + " -o " + out, "error: deadlock does not take -o"},
+        {"convert " + model + " --to text --json", "error: convert does not take --json"},
+    };
+    for (const auto& [arguments, message] : cases) {
+        SCOPED_TRACE(arguments);
+        const CliResult r = run_cli(arguments);
+        EXPECT_EQ(r.exit_code, 2);
+        EXPECT_EQ(r.output.rfind(message + "\nusage:", 0), 0u) << r.output;
+    }
+    EXPECT_FALSE(std::filesystem::exists(out));
 }
 
 TEST_F(CliTest, SdfredIsaOverrideIsValidatedAtStartup) {
@@ -456,6 +490,11 @@ TEST_F(CliTest, PipelineSpecErrorsAreInvocationErrors) {
     EXPECT_NE(malformed.output.find("malformed-parameter"), std::string::npos);
     // --passes itself is required.
     EXPECT_EQ(run_cli("pipeline " + dir_ + "/h263.sdf").exit_code, 2);
+    // The --list form takes no positionals: usage, not the --passes hint.
+    const CliResult listed = run_cli("pipeline --list extra");
+    EXPECT_EQ(listed.exit_code, 2);
+    EXPECT_NE(listed.output.find("usage:"), std::string::npos);
+    EXPECT_EQ(listed.output.find("requires --passes"), std::string::npos) << listed.output;
 }
 
 TEST_F(CliTest, PipelineVerifyEachCatchesTheUnsoundPass) {
@@ -477,6 +516,77 @@ TEST_F(CliTest, PipelineListShowsTheCatalogue) {
     EXPECT_NE(r.output.find("preserves"), std::string::npos);
     // The unsound self-test pass stays out of the public catalogue.
     EXPECT_EQ(r.output.find("selftest-unsound"), std::string::npos);
+}
+
+TEST_F(CliTest, LintGuardLeavesTheCommandsGraphUntouched) {
+    // The guard and the command share one parse, but the analyses the lint
+    // rules compute stay with the guard: a pipeline under --lint carries
+    // only what it computed itself, exactly as without the guard.
+    const std::string pipeline = "pipeline " + std::string(SDFRED_DATA_DIR) +
+                                 "/modem.xml --passes selfloops,prune,hsdf-reduced";
+    const CliResult plain = run_cli(pipeline);
+    const CliResult guarded = run_cli(pipeline + " --lint");
+    ASSERT_EQ(plain.exit_code, 0) << plain.output;
+    EXPECT_EQ(guarded.exit_code, 0);
+    EXPECT_EQ(guarded.output, plain.output);
+}
+
+/// Lines a `serve --stdio` daemon wrote for `requests`, run with `flags`.
+std::vector<serve::Json> serve_stdio(const std::string& dir, const std::string& flags,
+                                     const std::string& requests) {
+    const std::string in = dir + "/serve_in.ndjson";
+    const std::string out = dir + "/serve_out.ndjson";
+    std::ofstream(in) << requests;
+    const std::string command = std::string(SDFRED_CLI_PATH) + " serve --stdio " + flags +
+                                " < " + in + " > " + out + " 2>/dev/null";
+    EXPECT_EQ(WEXITSTATUS(std::system(command.c_str())), 0) << command;
+    std::vector<serve::Json> responses;
+    std::ifstream lines(out);
+    for (std::string line; std::getline(lines, line);) {
+        responses.push_back(serve::Json::parse(line));
+    }
+    return responses;
+}
+
+TEST_F(CliTest, ServeFlagsReachTheDaemon) {
+    const std::string model_b =
+        "graph b\nactor x 2\nactor y 3\nchannel x y 1 1 0\nchannel y x 1 1 1\n";
+    serve::Json second = serve::Json::object();
+    second.set("id", serve::Json::integer(2));
+    second.set("op", serve::Json::string("throughput"));
+    second.set("model", serve::Json::string(model_b));
+    std::string oversized = "{\"id\":4,\"op\":\"stats\",\"pad\":\"";
+    oversized += std::string(300 - oversized.size() - 2, 'x') + "\"}";
+    ASSERT_EQ(oversized.size(), 300u);
+    const std::string requests = "{\"id\":1,\"op\":\"throughput\",\"model_path\":\"" +
+                                 dir_ + "/h263.sdf\"}\n" + second.dump() + "\n" +
+                                 "{\"id\":3,\"op\":\"stats\"}\n" + oversized + "\n";
+    const std::string flags = "--threads 1 --cache-entries 1 --max-line-bytes 256";
+    const std::vector<serve::Json> timed =
+        serve_stdio(dir_, flags + " --timings", requests);
+    const std::vector<serve::Json> plain = serve_stdio(dir_, flags, requests);
+    ASSERT_EQ(timed.size(), 4u);
+    ASSERT_EQ(plain.size(), 4u);
+    for (std::size_t i = 0; i < timed.size(); ++i) {
+        SCOPED_TRACE(timed[i].dump());
+        // --timings adds a numeric wall_ms and changes nothing else.
+        const serve::Json* wall_ms = timed[i].find("wall_ms");
+        ASSERT_NE(wall_ms, nullptr);
+        EXPECT_GE(wall_ms->as_real(), 0.0);
+        EXPECT_EQ(plain[i].find("wall_ms"), nullptr);
+        serve::Json untimed = serve::Json::object();
+        for (const auto& [key, value] : timed[i].members()) {
+            if (key != "wall_ms") {
+                untimed.set(key, value);
+            }
+        }
+        EXPECT_EQ(untimed.dump(), plain[i].dump());
+    }
+    // --cache-entries 1: the second model evicts the first.
+    const serve::Json* cache = timed[2].find("result")->find("cache");
+    EXPECT_EQ(cache->find("graph_evictions")->as_integer(), 1);
+    // --max-line-bytes 256: the 300-byte line is refused in band.
+    EXPECT_EQ(timed[3].find("error")->find("code")->as_integer(), 413);
 }
 
 TEST_F(CliTest, LintGuardBlocksBrokenInputs) {

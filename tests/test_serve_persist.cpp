@@ -25,7 +25,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -167,7 +169,42 @@ TEST(PersistFormat, EncodeDecodeRoundTrips) {
     // Header (28) + payloads + CRC trailer (8), nothing more.
     EXPECT_EQ(bytes.size(), 28 + entry.graph_key.size() + entry.op_key.size() +
                                 entry.result.size() + 8);
-    EXPECT_EQ(bytes.substr(0, 8), "SDFREDP1");
+    EXPECT_EQ(bytes.substr(0, 8), "SDFREDP2");
+}
+
+/// CRC-64 over every file under data/serve/ and data/reduced/, names
+/// included, in name order.
+std::uint64_t goldens_crc() {
+    std::vector<std::string> files;
+    for (const char* dir : {"serve", "reduced"}) {
+        const std::string path = std::string(SDFRED_DATA_DIR) + "/" + dir;
+        for (const auto& entry : std::filesystem::directory_iterator(path)) {
+            if (entry.is_regular_file()) {
+                files.push_back(std::string(dir) + "/" + entry.path().filename().string());
+            }
+        }
+    }
+    std::sort(files.begin(), files.end());
+    std::uint64_t crc = 0;
+    for (const std::string& file : files) {
+        const std::string bytes =
+            file + "\n" + read_bytes(std::string(SDFRED_DATA_DIR) + "/" + file);
+        crc = crc64_update(crc, bytes.data(), bytes.size());
+    }
+    return crc;
+}
+
+TEST(PersistFormat, ResultsVersionMovesWithTheGoldens) {
+    // A tripwire: the persisted answers are versioned by the last digit of
+    // the record magic.  When a change moves a golden answer, a warm start
+    // must not replay the old one, so the version has to move too.
+    constexpr char kPinnedVersion = '2';
+    constexpr std::uint64_t kPinnedGoldensCrc = 0xe901053e0514965cull;
+    const char version = PersistentCache::encode(sample_entry())[7];
+    const std::uint64_t crc = goldens_crc();
+    EXPECT_TRUE(version == kPinnedVersion && crc == kPinnedGoldensCrc)
+        << "goldens changed: bump kResultsVersion and update the hash (results version "
+        << version << ", goldens crc 0x" << std::hex << crc << ")";
 }
 
 TEST(PersistFormat, DecodeRejectsEveryCorruptionClass) {
@@ -381,6 +418,43 @@ TEST(PersistServe, CorruptedEntryIsQuarantinedWhileOthersReplay) {
     // The corrupted file was moved aside, not deleted (forensics) — and
     // never re-trusted.
     EXPECT_EQ(::access((victim_file + ".quarantined").c_str(), F_OK), 0);
+}
+
+TEST(PersistServe, RecordOfAnotherResultsVersionIsNeverReplayed) {
+    // A well-formed record from before the results version moved: same
+    // layout, SDFREDP1 magic, and an answer this build would not give.
+    TempDir dir;
+    PersistedEntry stale;
+    stale.graph_key = write_text_string(read_text_string(kCycleModel));
+    stale.op_key = "throughput|";
+    stale.result = "{\"stale\":true}";
+    std::string bytes = PersistentCache::encode(stale);
+    bytes[7] = '1';
+    bytes.resize(bytes.size() - 8);
+    const std::uint64_t crc = crc64(bytes);
+    for (int shift = 0; shift < 64; shift += 8) {
+        bytes += static_cast<char>((crc >> shift) & 0xff);
+    }
+    const std::string file =
+        dir.path() + "/" + PersistentCache::entry_name(stale.graph_key, stale.op_key);
+    write_bytes(file, bytes);
+
+    std::ostringstream warnings;
+    PersistOptions persist_options;
+    persist_options.dir = dir.path();
+    persist_options.fsync_writes = false;
+    persist_options.log = &warnings;
+    PersistentCache cache(persist_options);
+    ServeCore core;
+    EXPECT_EQ(core.attach_persistence(&cache), 0u);
+    EXPECT_EQ(cache.stats().quarantined, 1u);
+    EXPECT_NE(warnings.str().find("bad magic"), std::string::npos) << warnings.str();
+    EXPECT_EQ(::access((file + ".quarantined").c_str(), F_OK), 0);
+
+    const Json response = Json::parse(core.handle_line(throughput_line(1, kCycleModel)));
+    EXPECT_EQ(cache_of(response), "miss");
+    EXPECT_EQ(response.find("result")->find("stale"), nullptr) << response.dump();
+    EXPECT_EQ(response.find("exit")->as_integer(), 0);
 }
 
 // ---------------------------------------------------------------------------

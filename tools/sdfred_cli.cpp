@@ -1,71 +1,28 @@
 // sdfred_cli — command-line front end to the sdfred library.
 //
-//   sdfred_cli info       FILE            structure, consistency, liveness
-//   sdfred_cli analyze    FILE            repetition vector, period, throughput,
-//                                         makespan, response latencies
-//   sdfred_cli analyze    FILE --certify [--json]
-//                                         abstract interpretation: token
-//                                         intervals, reachability bounds and
-//                                         machine-checked buffer-bound
-//                                         certificates (docs/ABSINT.md)
-//   sdfred_cli deadlock   FILE            deadlock diagnosis with witness
-//   sdfred_cli schedule   FILE            rate-optimal static periodic schedule
-//   sdfred_cli convert --to FMT FILE [-o OUT]
-//                                         FMT: hsdf | reduced-hsdf | abstract |
-//                                              abstract-sdf | text | xml | dot
-//                                         (--format is accepted as an alias)
-//   sdfred_cli pipeline FILE --passes "SPEC" [-o OUT] [--time-passes]
-//                       [--verify-each] [--dump-after PASS]
-//                                         composable pass pipeline, e.g.
-//                                         --passes "selfloops,prune,hsdf-reduced"
-//                                         (docs/PIPELINE.md)
-//   sdfred_cli pipeline --list            pass catalogue
-//   sdfred_cli unfold N   FILE [-o OUT]   Definition 5 unfolding
-//   sdfred_cli sensitivity FILE           critical actors and slack
-//   sdfred_cli storage     FILE           self-timed channel storage marks
-//   sdfred_cli pareto      FILE           throughput/buffer trade-off curve
-//   sdfred_cli csdf-analyze FILE.xml      cyclo-static analysis
-//   sdfred_cli csdf-reduce  FILE.xml [-o OUT]
-//                                         reduced HSDF of a CSDF graph
-//   sdfred_cli lint FILE [--format text|json] [--rules ID,ID,...]
-//                        [--fail-on note|warning|error]
-//                                         static diagnostics (docs/LINT_RULES.md)
-//   sdfred_cli lint --list                rule reference table
-//   sdfred_cli fuzz [--iterations N] [--seed S] [--oracles ID,ID,...]
-//                   [--corpus DIR] [--failures DIR] [--max-mutations N]
-//                   [--no-shrink]         differential fuzzing across the
-//                                         oracle registry (docs/FUZZING.md)
-//   sdfred_cli fuzz --self-test           plant an off-by-one, require the
-//                                         harness to find and shrink it
-//   sdfred_cli fuzz --list                oracle reference table
-//   sdfred_cli serve [--stdio | --socket PATH | --tcp PORT] [--threads N]
-//                    [--cache-entries N] [--max-queue N] [--timings]
-//                                         newline-delimited-JSON analysis
-//                                         daemon with a content-addressed
-//                                         result cache (docs/SERVE.md)
-//
-// Graphs load from SDF3-style XML (*.xml) or the plain-text format
-// (anything else); CSDF commands take csdf-typed XML.  convert --to
-// text|xml|dot writes that format, to -o OUT or stdout.  Everywhere else
-// -o picks the output format by extension (.xml, .dot, anything else:
-// text) and stdout gets the text format.  --lint runs the linter as a
-// guard before any other command and aborts on errors; --version prints
-// the build id.
+// The command table (kCommands, at the end of this file) names every
+// command with its synopsis, its positionals, the flag groups it takes and
+// its run function; the flag table (kFlags) says where each flag writes.
+// usage() prints the synopses.  A flag the command does not take is a bad
+// invocation, as is a --list form with positionals.
 //
 // Resource governance (docs/ROBUSTNESS.md): --timeout-ms N, --max-steps N
 // and --max-memory-mb N put the command under an ExecutionBudget.  analyze
 // degrades to a certified throughput lower bound when the exact route
-// blows the budget (--degrade never disables that); convert and fuzz are
-// cut off with exit code 4 / a typed reject respectively.  The environment
-// variable SDFRED_FAULT_INJECT=alloc:N|step:N|deadline:N arms one-shot
+// blows the budget (--degrade never turns that into exit code 4); analyze
+// --certify, convert, pipeline and unfold are cut off with exit code 4;
+// fuzz turns a tripped budget into a typed reject verdict; serve makes the
+// budget the default of every request.  The environment variable
+// SDFRED_FAULT_INJECT=alloc:N|step:N|deadline:N arms one-shot
 // deterministic faults for robustness testing.
 //
 // Exit codes: 0 success (for lint: nothing at/above --fail-on), 1 analysis
 // failure or lint findings, 2 bad invocation, 3 unparseable input file,
 // 4 aborted by resource budget.
 #include <algorithm>
-#include <chrono>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <new>
 #include <optional>
 #include <string>
@@ -113,11 +70,6 @@ namespace {
 
 using namespace sdf;
 
-bool has_suffix(const std::string& text, const std::string& suffix) {
-    return text.size() >= suffix.size() &&
-           text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 std::string join(const std::vector<std::string>& parts, const std::string& sep) {
     std::string joined;
     for (const std::string& part : parts) {
@@ -130,8 +82,8 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep) 
 }
 
 Graph load(const std::string& path, SourceMap* locations = nullptr) {
-    return has_suffix(path, ".xml") ? read_xml_file(path, locations)
-                                    : read_text_file(path, locations);
+    return path.ends_with(".xml") ? read_xml_file(path, locations)
+                                  : read_text_file(path, locations);
 }
 
 /// Writes `graph` to `out`, or to stdout when absent, as `format` (text,
@@ -140,9 +92,9 @@ Graph load(const std::string& path, SourceMap* locations = nullptr) {
 void save(const Graph& graph, const std::optional<std::string>& out,
           std::string format = "") {
     if (format.empty()) {
-        format = out && has_suffix(*out, ".xml")   ? "xml"
-                 : out && has_suffix(*out, ".dot") ? "dot"
-                                                   : "text";
+        format = out && out->ends_with(".xml")   ? "xml"
+                 : out && out->ends_with(".dot") ? "dot"
+                                                 : "text";
     }
     if (!out) {
         if (format == "xml") {
@@ -164,36 +116,43 @@ void save(const Graph& graph, const std::optional<std::string>& out,
     std::cout << "wrote " << *out << "\n";
 }
 
-int usage() {
-    std::cerr << "usage: sdfred_cli {info|analyze|deadlock|schedule} FILE\n"
-                 "       sdfred_cli analyze FILE --certify [--json]\n"
-                 "       sdfred_cli convert --to FMT FILE [-o OUT]\n"
-                 "       sdfred_cli pipeline FILE --passes \"SPEC\" [-o OUT]\n"
-                 "                  [--time-passes] [--verify-each] [--dump-after PASS]\n"
-                 "       sdfred_cli pipeline --list\n"
-                 "       sdfred_cli unfold N FILE [-o OUT]\n"
-                 "       sdfred_cli csdf-analyze FILE.xml\n"
-                 "       sdfred_cli csdf-reduce FILE.xml [-o OUT]\n"
-                 "       sdfred_cli lint FILE [--format text|json] [--rules ID,...]\n"
-                 "                        [--fail-on note|warning|error]\n"
-                 "       sdfred_cli lint --list\n"
-                 "       sdfred_cli fuzz [--iterations N] [--seed S] [--oracles ID,...]\n"
-                 "                       [--corpus DIR] [--failures DIR]\n"
-                 "                       [--max-mutations N] [--no-shrink]\n"
-                 "       sdfred_cli fuzz --self-test | --list\n"
-                 "       sdfred_cli serve [--stdio | --socket PATH | --tcp PORT]\n"
-                 "                        [--threads N] [--cache-entries N]\n"
-                 "                        [--max-queue N] [--timings]\n"
-                 "                        [--cache-dir DIR] [--request-deadline-ms N]\n"
-                 "                        [--max-line-bytes N]\n"
-                 "       sdfred_cli --version\n"
-                 "FMT: hsdf | reduced-hsdf | abstract | abstract-sdf | text | xml | dot\n"
-                 "--lint before any command aborts it when the model has lint errors\n"
-                 "--timeout-ms N | --max-steps N | --max-memory-mb N put analyze,\n"
-                 "convert and fuzz under a resource budget; --degrade {auto|never}\n"
-                 "picks between a certified throughput lower bound and exit code 4\n"
-                 "when analyze blows it (docs/ROBUSTNESS.md)\n";
-    return 2;
+int usage();
+
+/// One parsed command line: the positionals, and the option structs the
+/// commands consume directly.  kFlags says where each flag writes.
+struct Invocation {
+    std::vector<std::string> positional;
+    std::optional<Graph> model;  ///< see model()
+    bool guard = false;          ///< --lint
+    bool list = false;           ///< --list: the reference table, no positionals
+    GovernOptions govern;        ///< the budget flags and --degrade
+    bool governed = false;       ///< any of them given: analyze prints its status
+    bool certify = false;
+    bool json = false;
+    std::optional<std::string> to;   ///< convert --to
+    std::optional<std::string> out;  ///< -o
+    std::optional<std::string> passes;
+    std::optional<std::string> dump_after;
+    bool time_passes = false;
+    bool verify_each = false;
+    std::optional<std::string> format;  ///< lint: report format; convert: --to alias
+    std::vector<std::string> rules;
+    Severity fail_on = Severity::error;
+    FuzzOptions fuzz;
+    bool self_test = false;
+    serve::ServeOptions serve;
+    serve::ServerOptions server;
+    std::optional<std::string> socket;       ///< serve --socket PATH (Unix)
+    std::optional<unsigned short> tcp_port;  ///< serve --tcp PORT (127.0.0.1)
+};
+
+/// The model named by the last positional, parsed once: the --lint guard
+/// fills `locations` and the command reuses the graph.
+const Graph& model(Invocation& inv, SourceMap* locations = nullptr) {
+    if (!inv.model) {
+        inv.model = load(inv.positional.back(), locations);
+    }
+    return *inv.model;
 }
 
 int cmd_sensitivity(const Graph& g) {
@@ -422,33 +381,42 @@ int cmd_schedule(const Graph& g) {
     return 0;
 }
 
-int cmd_convert(const Graph& g, const std::string& format,
-                const std::optional<std::string>& out,
-                const ExecutionBudget& budget) {
+int cmd_convert(Invocation& inv) {
+    // --format doubles as the lint report format; convert reads it as an
+    // alias of --to.
+    const std::optional<std::string> format = inv.to ? inv.to : inv.format;
+    if (!format) {
+        std::cerr << "error: convert requires an output format\n"
+                     "  add --to FMT (alias: --format FMT) with FMT one of:\n"
+                     "  hsdf | reduced-hsdf | abstract | abstract-sdf | "
+                     "text | xml | dot\n";
+        return 2;
+    }
+    const Graph& g = model(inv);
     // The graph-rewriting formats are one-pass pipelines: convert rides the
     // same executor as `pipeline`, so budget slicing and analysis adoption
     // behave identically on both entry points.
     std::string spec;
-    if (format == "hsdf") {
+    if (*format == "hsdf") {
         spec = "hsdf-classic";
-    } else if (format == "reduced-hsdf") {
+    } else if (*format == "reduced-hsdf") {
         spec = "hsdf-reduced";
-    } else if (format == "abstract") {
+    } else if (*format == "abstract") {
         spec = "abstraction";
-    } else if (format == "abstract-sdf") {
+    } else if (*format == "abstract-sdf") {
         spec = "sdf-abstraction";
     }
     if (!spec.empty()) {
         ExecutorOptions options;
-        options.budget = budget;
+        options.budget = inv.govern.budget;
         save(PipelineExecutor(std::move(options)).run(parse_pipeline(spec), g).graph,
-             out);
+             inv.out);
         return 0;
     }
-    if (format != "text" && format != "xml" && format != "dot") {
+    if (*format != "text" && *format != "xml" && *format != "dot") {
         return usage();
     }
-    save(g, out, format);
+    save(g, inv.out, *format);
     return 0;
 }
 
@@ -491,36 +459,43 @@ int cmd_pipeline_list() {
     return 0;
 }
 
-int cmd_pipeline(const std::string& path, const std::string& spec, bool verify_each,
-                 bool time_passes, const std::optional<std::string>& dump_after,
-                 const std::optional<std::string>& out,
-                 const ExecutionBudget& budget) {
+int cmd_pipeline(Invocation& inv) {
+    if (inv.list) {
+        return cmd_pipeline_list();
+    }
+    if (!inv.passes) {
+        std::cerr << "error: pipeline requires --passes \"SPEC\", e.g. "
+                     "--passes \"selfloops,prune,hsdf-reduced\"\n"
+                     "see: sdfred_cli pipeline --list\n";
+        return 2;
+    }
     Pipeline pipeline;
     try {
-        pipeline = parse_pipeline(spec);
+        pipeline = parse_pipeline(*inv.passes);
     } catch (const PipelineParseError& e) {
         std::cerr << "pipeline spec error [" << pipeline_error_kind_name(e.kind())
                   << "]: " << e.what() << "\n"
                   << "see: sdfred_cli pipeline --list\n";
         return 2;
     }
-    const Graph input = load(path);
+    // Conversions have no bound to degrade to: the budget either fits or
+    // the pipeline aborts with exit code 4.
     ExecutorOptions options;
-    options.budget = budget;
-    options.verify_each = verify_each;
-    if (dump_after) {
-        options.after_pass = [&dump_after](const Graph& graph,
-                                           const PassReport& report) {
+    options.budget = inv.govern.budget;
+    options.verify_each = inv.verify_each;
+    if (inv.dump_after) {
+        options.after_pass = [&dump_after = *inv.dump_after](const Graph& graph,
+                                                              const PassReport& report) {
             const std::string name =
                 report.invocation.substr(0, report.invocation.find('('));
-            if (name == *dump_after) {
+            if (name == dump_after) {
                 std::cout << "--- after " << report.invocation << " ---\n";
                 write_text(std::cout, graph);
                 std::cout << "--- end ---\n";
             }
         };
     }
-    if (verify_each) {
+    if (inv.verify_each) {
         // Beyond the executor's built-in contract/preservation checks, put
         // the intermediate graph of every step through the full differential
         // oracle registry; a failing verdict aborts the pipeline loudly.
@@ -535,7 +510,7 @@ int cmd_pipeline(const std::string& path, const std::string& spec, bool verify_e
             }
         };
     }
-    const PipelineRun run = PipelineExecutor(std::move(options)).run(pipeline, input);
+    const PipelineRun run = PipelineExecutor(std::move(options)).run(pipeline, model(inv));
     std::cout << "pipeline: " << pipeline.to_string() << "\n";
     for (const PassReport& report : run.reports) {
         std::cout << "  " << report.invocation << ": "
@@ -551,7 +526,7 @@ int cmd_pipeline(const std::string& path, const std::string& spec, bool verify_e
         if (report.verified) {
             std::cout << "  [verified]";
         }
-        if (time_passes) {
+        if (inv.time_passes) {
             std::cout << "  (" << report.used.wall_ms << " ms";
             if (report.used.steps > 0) {
                 std::cout << ", " << report.used.steps << " steps";
@@ -563,7 +538,7 @@ int cmd_pipeline(const std::string& path, const std::string& spec, bool verify_e
         }
         std::cout << "\n";
     }
-    if (time_passes) {
+    if (inv.time_passes) {
         std::cout << "total: " << run.total.wall_ms << " ms, " << run.total.steps
                   << " steps, " << run.total.accounted_bytes << " accounted bytes\n";
         for (const AnalysisSlotStats& slot : run.graph.analyses()->stats()) {
@@ -594,8 +569,8 @@ int cmd_pipeline(const std::string& path, const std::string& spec, bool verify_e
                       << "\n";
             break;
     }
-    if (out) {
-        save(run.graph, out);
+    if (inv.out) {
+        save(run.graph, inv.out);
     }
     return 0;
 }
@@ -613,12 +588,19 @@ int cmd_lint_list() {
     return 0;
 }
 
-int cmd_lint(const std::string& path, const std::string& format,
-             const std::vector<std::string>& rules, Severity fail_on) {
+int cmd_lint(Invocation& inv) {
+    const std::string format = inv.format.value_or("text");
+    if (format != "text" && format != "json") {
+        return usage();
+    }
+    if (inv.list) {
+        return cmd_lint_list();
+    }
+    const std::string& path = inv.positional[0];
     SourceMap locations;
-    const Graph graph = load(path, &locations);
+    const Graph& graph = model(inv, &locations);
     LintOptions options;
-    for (const std::string& id : rules) {
+    for (const std::string& id : inv.rules) {
         if (find_rule(id) == nullptr) {
             std::cerr << "error: unknown lint rule '" << id
                       << "' (see: sdfred_cli lint --list)\n";
@@ -635,7 +617,7 @@ int cmd_lint(const std::string& path, const std::string& format,
                   << report.count(Severity::warning) << " warnings, "
                   << report.count(Severity::note) << " notes\n";
     }
-    return report.has_at_least(fail_on) ? 1 : 0;
+    return report.has_at_least(inv.fail_on) ? 1 : 0;
 }
 
 int cmd_fuzz_list() {
@@ -662,7 +644,30 @@ void print_fuzz_report(const FuzzReport& report) {
     }
 }
 
-int cmd_fuzz(const FuzzOptions& options) {
+int cmd_fuzz_self_test(FuzzOptions options) {
+    const SelfTestReport self_test = run_fuzz_self_test(std::move(options));
+    print_fuzz_report(self_test.report);
+    std::cout << "injected bug found: " << (self_test.bug_found ? "yes" : "NO") << "\n";
+    if (self_test.bug_found) {
+        std::cout << "shrunk repro: " << self_test.shrunk_actors << " actors, minimal "
+                  << (self_test.shrunk_minimal ? "yes" : "NO") << "\n";
+    }
+    std::cout << "self-test " << (self_test.ok() ? "passed" : "FAILED") << "\n";
+    return self_test.ok() ? 0 : 1;
+}
+
+int cmd_fuzz(Invocation& inv) {
+    if (inv.list) {
+        return cmd_fuzz_list();
+    }
+    FuzzOptions& options = inv.fuzz;
+    options.log = &std::cout;
+    // Each oracle run is governed; a tripped budget surfaces as a typed
+    // reject verdict, not a lost fuzzing campaign.
+    options.limits.budget = inv.govern.budget;
+    if (inv.self_test) {
+        return cmd_fuzz_self_test(std::move(options));
+    }
     // A misspelt oracle id is a bad invocation, like --rules SDF999.
     for (const std::string& id : options.oracles) {
         if (find_oracle(id) == nullptr) {
@@ -680,80 +685,323 @@ int cmd_fuzz(const FuzzOptions& options) {
     return 0;
 }
 
-int cmd_fuzz_self_test(FuzzOptions options) {
-    const SelfTestReport self_test = run_fuzz_self_test(std::move(options));
-    print_fuzz_report(self_test.report);
-    std::cout << "injected bug found: " << (self_test.bug_found ? "yes" : "NO") << "\n";
-    if (self_test.bug_found) {
-        std::cout << "shrunk repro: " << self_test.shrunk_actors << " actors, minimal "
-                  << (self_test.shrunk_minimal ? "yes" : "NO") << "\n";
-    }
-    std::cout << "self-test " << (self_test.ok() ? "passed" : "FAILED") << "\n";
-    return self_test.ok() ? 0 : 1;
-}
-
 /// `serve`: the concurrent analysis daemon (docs/SERVE.md).  Budget flags
 /// become the default per-request budget; requests may override it.
-struct ServeCliOptions {
-    std::optional<std::string> socket;       ///< --socket PATH (Unix)
-    std::optional<unsigned short> tcp_port;  ///< --tcp PORT (127.0.0.1)
-    std::size_t threads = 4;
-    std::size_t cache_entries = 64;
-    std::size_t max_queue = 64;
-    bool timings = false;
-    std::string cache_dir;                   ///< --cache-dir DIR (persistent)
-    std::optional<std::uint64_t> deadline_ms;  ///< --request-deadline-ms N
-    std::optional<std::size_t> max_line_bytes;  ///< --max-line-bytes N
-};
-
-int cmd_serve(const ServeCliOptions& options, const GovernOptions& govern,
-              bool governed) {
+int cmd_serve(Invocation& inv) {
     // Daemon-grade signal discipline before the first connection: SIGTERM/
     // SIGINT request a graceful drain (stop accepting, finish in-flight,
     // fsync the cache index), SIGPIPE becomes a per-connection EPIPE.
     install_shutdown_signal_handlers();
     ignore_sigpipe();
-    serve::ServeOptions core_options;
-    core_options.cache_graphs = options.cache_entries;
-    if (governed) {
-        core_options.default_budget = govern.budget;
+    inv.serve.default_budget = inv.govern.budget;
+    serve::ServeCore core(inv.serve);
+    serve::Server server(core, inv.server);
+    if (inv.socket) {
+        return server.run_unix(*inv.socket);
     }
-    core_options.timings = options.timings;
-    core_options.cache_dir = options.cache_dir;
-    if (options.deadline_ms) {
-        core_options.request_deadline =
-            std::chrono::milliseconds(*options.deadline_ms);
-    }
-    if (options.max_line_bytes) {
-        core_options.max_line_bytes = *options.max_line_bytes;
-    }
-    serve::ServeCore core(core_options);
-    serve::ServerOptions server_options;
-    server_options.threads = options.threads;
-    server_options.max_queue = options.max_queue;
-    serve::Server server(core, server_options);
-    if (options.socket) {
-        return server.run_unix(*options.socket);
-    }
-    if (options.tcp_port) {
-        return server.run_tcp(*options.tcp_port);
+    if (inv.tcp_port) {
+        return server.run_tcp(*inv.tcp_port);
     }
     return server.run_stdio(std::cin, std::cout);
 }
 
-/// The --lint guard: lints `path` before an analysis command runs and
-/// reports whether errors block it.
-bool lint_guard_passes(const std::string& path) {
+/// `unfold N FILE`: the unfold(N) pass, run by the executor so budget flags
+/// govern it like every other transformation.
+int cmd_unfold(Invocation& inv) {
+    const auto n = parse_int(inv.positional[0]);
+    if (!n || *n <= 0) {
+        return usage();
+    }
+    ExecutorOptions options;
+    options.budget = inv.govern.budget;
+    const Pipeline unfold = parse_pipeline("unfold(" + std::to_string(*n) + ")");
+    save(PipelineExecutor(std::move(options)).run(unfold, model(inv)).graph, inv.out);
+    return 0;
+}
+
+/// The --lint guard: lints the model before the command runs and reports
+/// whether errors block it.  It lints a rebuilt copy, so the analyses the
+/// rules cache stay out of the command's graph: a pipeline then carries
+/// only what it computed itself, as without the guard.
+bool lint_guard_passes(Invocation& inv) {
     SourceMap locations;
-    const Graph graph = load(path, &locations);
-    const LintReport report = lint_graph(graph, &locations);
+    const Graph& parsed = model(inv, &locations);
+    Graph copy(parsed.name());
+    for (const Actor& actor : parsed.actors()) {
+        copy.add_actor(actor.name, actor.execution_time);
+    }
+    for (const Channel& ch : parsed.channels()) {
+        copy.add_channel(ch.src, ch.dst, ch.production, ch.consumption,
+                         ch.initial_tokens);
+    }
+    const LintReport report = lint_graph(copy, &locations);
     if (!report.has_at_least(Severity::error)) {
         return true;
     }
+    const std::string& path = inv.positional.back();
     std::cerr << render_text(report, path);
     std::cerr << "error: model has lint errors; aborting (rerun without --lint "
                  "to force, or fix the model)\n";
     return false;
+}
+
+/// The one rule of the integer flags: a decimal in [min, max], stored in
+/// `slot`.  False is a bad invocation.
+template <typename Slot>
+bool number(const std::string& text, Slot& slot, Int min = 1,
+            Int max = std::numeric_limits<Int>::max()) {
+    const std::optional<Int> n = parse_int(text);
+    if (!n || *n < min || *n > max) {
+        return false;
+    }
+    slot = Slot(*n);
+    return true;
+}
+
+/// A text flag's value, stored in `slot`.
+template <typename Slot>
+bool store(const std::string& text, Slot& slot) {
+    slot = text;
+    return true;
+}
+
+/// A list flag's comma-separated ids, appended to `ids` (empty ones
+/// skipped).
+bool store(const std::string& text, std::vector<std::string>& ids) {
+    for (const std::string& id : split(text, ',')) {
+        if (!id.empty()) {
+            ids.push_back(id);
+        }
+    }
+    return true;
+}
+
+/// Flag groups: a command takes a flag when it takes the flag's group.
+enum Group : unsigned {
+    kGuard = 1U << 0,     ///< --lint
+    kBudget = 1U << 1,    ///< --timeout-ms --max-steps --max-memory-mb
+    kDegrade = 1U << 2,   ///< --degrade
+    kCertify = 1U << 3,   ///< --certify --json
+    kTo = 1U << 4,        ///< --to
+    kFormat = 1U << 5,    ///< --format
+    kOut = 1U << 6,       ///< -o
+    kPipeline = 1U << 7,  ///< --passes --dump-after --time-passes --verify-each
+    kList = 1U << 8,      ///< --list
+    kLint = 1U << 9,      ///< --rules --fail-on
+    kFuzz = 1U << 10,     ///< the seven fuzz flags and --self-test
+    kServe = 1U << 11,    ///< the ten serve flags
+};
+
+/// One flag: a switch (`on`) or a flag that takes a value (`set`, which
+/// returns false on a bad value).  A `joined` flag also reads
+/// SPELLING=VALUE.
+struct Flag {
+    const char* spelling;
+    unsigned group;
+    void (*on)(Invocation&);
+    bool (*set)(Invocation&, const std::string& value);
+    bool joined = false;
+};
+
+const Flag kFlags[] = {
+    {"--lint", kGuard, [](auto& in) { in.guard = true; }, nullptr},
+    {"--list", kList, [](auto& in) { in.list = true; }, nullptr},
+    {"--timeout-ms", kBudget, nullptr,
+     [](auto& in, auto& v) { return number(v, in.govern.budget.deadline); }},
+    {"--max-steps", kBudget, nullptr,
+     [](auto& in, auto& v) { return number(v, in.govern.budget.max_steps); }},
+    {"--max-memory-mb", kBudget, nullptr,
+     [](auto& in, auto& v) {
+         std::uint64_t mb = 0;
+         const bool ok = number(v, mb);
+         in.govern.budget.max_bytes = mb * 1024 * 1024;
+         return ok;
+     }},
+    {"--degrade", kDegrade, nullptr,
+     [](auto& in, auto& v) {
+         in.govern.degrade = v == "never" ? DegradeMode::never : DegradeMode::auto_;
+         return v == "never" || v == "auto";
+     }},
+    {"--certify", kCertify, [](auto& in) { in.certify = true; }, nullptr},
+    {"--json", kCertify, [](auto& in) { in.json = true; }, nullptr},
+    {"--to", kTo, nullptr, [](auto& in, auto& v) { return store(v, in.to); }},
+    {"--format", kFormat, nullptr, [](auto& in, auto& v) { return store(v, in.format); }},
+    {"-o", kOut, nullptr, [](auto& in, auto& v) { return store(v, in.out); }},
+    {"--passes", kPipeline, nullptr,
+     [](auto& in, auto& v) { return store(v, in.passes); }, true},
+    {"--dump-after", kPipeline, nullptr,
+     [](auto& in, auto& v) { return store(v, in.dump_after); }, true},
+    {"--time-passes", kPipeline, [](auto& in) { in.time_passes = true; }, nullptr},
+    {"--verify-each", kPipeline, [](auto& in) { in.verify_each = true; }, nullptr},
+    {"--rules", kLint, nullptr, [](auto& in, auto& v) { return store(v, in.rules); }},
+    {"--fail-on", kLint, nullptr,
+     [](auto& in, auto& v) {
+         const std::optional<Severity> severity = parse_severity(v);
+         in.fail_on = severity.value_or(in.fail_on);
+         return severity.has_value();
+     }},
+    {"--iterations", kFuzz, nullptr,
+     [](auto& in, auto& v) { return number(v, in.fuzz.iterations, 0); }},
+    {"--seed", kFuzz, nullptr,
+     [](auto& in, auto& v) { return number(v, in.fuzz.seed, 0); }},
+    {"--oracles", kFuzz, nullptr,
+     [](auto& in, auto& v) { return store(v, in.fuzz.oracles); }},
+    {"--corpus", kFuzz, nullptr,
+     [](auto& in, auto& v) { return store(v, in.fuzz.corpus_dir); }},
+    {"--failures", kFuzz, nullptr,
+     [](auto& in, auto& v) { return store(v, in.fuzz.failures_dir); }},
+    {"--max-mutations", kFuzz, nullptr,
+     [](auto& in, auto& v) { return number(v, in.fuzz.max_mutations, 0); }},
+    {"--no-shrink", kFuzz, [](auto& in) { in.fuzz.shrink = false; }, nullptr},
+    {"--self-test", kFuzz, [](auto& in) { in.self_test = true; }, nullptr},
+    {"--stdio", kServe,
+     [](auto& in) {
+         in.socket.reset();
+         in.tcp_port.reset();
+     },
+     nullptr},
+    {"--socket", kServe, nullptr, [](auto& in, auto& v) { return store(v, in.socket); }},
+    {"--tcp", kServe, nullptr,
+     [](auto& in, auto& v) { return number(v, in.tcp_port, 1, 65535); }},
+    {"--threads", kServe, nullptr,
+     [](auto& in, auto& v) { return number(v, in.server.threads); }},
+    {"--cache-entries", kServe, nullptr,
+     [](auto& in, auto& v) { return number(v, in.serve.cache_graphs); }},
+    {"--max-queue", kServe, nullptr,
+     [](auto& in, auto& v) { return number(v, in.server.max_queue); }},
+    {"--timings", kServe, [](auto& in) { in.serve.timings = true; }, nullptr},
+    {"--cache-dir", kServe, nullptr,
+     [](auto& in, auto& v) { return store(v, in.serve.cache_dir); }},
+    {"--request-deadline-ms", kServe, nullptr,
+     [](auto& in, auto& v) { return number(v, in.serve.request_deadline); }},
+    {"--max-line-bytes", kServe, nullptr,
+     [](auto& in, auto& v) { return number(v, in.serve.max_line_bytes); }},
+};
+
+/// Runs a command that reads nothing but the model.
+template <int (*command)(const Graph&)>
+int on_model(Invocation& inv) {
+    return command(model(inv));
+}
+
+/// One command: its synopsis (the forms after "sdfred_cli NAME", one per
+/// line; a line that starts with a space continues the form above), its
+/// positionals outside the --list form, the flag groups it takes, and
+/// what runs it.  Under --lint (group kGuard) the guard runs first.
+struct Command {
+    const char* name;
+    const char* synopsis;
+    std::size_t positionals;
+    unsigned groups;
+    int (*run)(Invocation&);
+};
+
+const Command kCommands[] = {
+    {"info", "FILE [--lint]", 1, kGuard, on_model<cmd_info>},
+    {"analyze",
+     "FILE [BUDGET] [--degrade auto|never] [--lint]\n"
+     "FILE --certify [--json] [BUDGET] [--lint]",
+     1, kGuard | kBudget | kDegrade | kCertify,
+     [](Invocation& in) {
+         const Graph& g = model(in);
+         return in.certify || in.json
+                    ? cmd_analyze_absint(g, in.json, in.certify, in.govern.budget)
+                    : cmd_analyze(g, in.govern, in.governed);
+     }},
+    {"deadlock", "FILE [--lint]", 1, kGuard, on_model<cmd_deadlock>},
+    {"schedule", "FILE [--lint]", 1, kGuard, on_model<cmd_schedule>},
+    {"convert", "--to FMT FILE [-o OUT] [BUDGET] [--lint]", 1,
+     kGuard | kBudget | kTo | kFormat | kOut, cmd_convert},
+    {"pipeline",
+     "FILE --passes \"SPEC\" [-o OUT] [--time-passes]\n"
+     " [--verify-each] [--dump-after PASS] [BUDGET] [--lint]\n"
+     "--list",
+     1, kGuard | kBudget | kPipeline | kOut | kList, cmd_pipeline},
+    {"unfold", "N FILE [-o OUT] [BUDGET] [--lint]", 2, kGuard | kBudget | kOut,
+     cmd_unfold},
+    {"sensitivity", "FILE [--lint]", 1, kGuard, on_model<cmd_sensitivity>},
+    {"storage", "FILE [--lint]", 1, kGuard, on_model<cmd_storage>},
+    {"pareto", "FILE [--lint]", 1, kGuard, on_model<cmd_pareto>},
+    {"csdf-analyze", "FILE.xml", 1, 0,
+     [](Invocation& in) { return cmd_csdf_analyze(read_csdf_xml_file(in.positional[0])); }},
+    {"csdf-reduce", "FILE.xml [-o OUT]", 1, kOut,
+     [](Invocation& in) {
+         save(csdf_to_reduced_hsdf(read_csdf_xml_file(in.positional[0])), in.out);
+         return 0;
+     }},
+    {"lint",
+     "FILE [--format text|json] [--rules ID,...]\n"
+     " [--fail-on note|warning|error]\n"
+     "--list",
+     1, kFormat | kLint | kList, cmd_lint},
+    {"fuzz",
+     "[--iterations N] [--seed S] [--oracles ID,...]\n"
+     " [--corpus DIR] [--failures DIR] [--max-mutations N]\n"
+     " [--no-shrink] [BUDGET]\n"
+     "--self-test | --list",
+     0, kFuzz | kList | kBudget, cmd_fuzz},
+    {"serve",
+     "[--stdio | --socket PATH | --tcp PORT] [--threads N]\n"
+     " [--cache-entries N] [--max-queue N] [--timings]\n"
+     " [--cache-dir DIR] [--request-deadline-ms N]\n"
+     " [--max-line-bytes N] [BUDGET]",
+     0, kServe | kBudget, cmd_serve},
+};
+
+int usage() {
+    const char* lead = "usage: ";
+    for (const Command& command : kCommands) {
+        for (const std::string& line : split(command.synopsis, '\n')) {
+            if (starts_with(line, " ")) {
+                std::cerr << std::string(18, ' ') << line.substr(1) << "\n";
+                continue;
+            }
+            std::cerr << lead << "sdfred_cli " << command.name << " " << line << "\n";
+            lead = "       ";
+        }
+    }
+    std::cerr << "       sdfred_cli --version\n"
+                 "FMT: hsdf | reduced-hsdf | abstract | abstract-sdf | text | xml | dot\n"
+                 "--lint aborts the command when the model has lint errors\n"
+                 "BUDGET: --timeout-ms N | --max-steps N | --max-memory-mb N put the\n"
+                 "command under a resource budget; --degrade {auto|never} picks\n"
+                 "between a certified throughput lower bound and exit code 4\n"
+                 "when analyze blows it (docs/ROBUSTNESS.md)\n";
+    return 2;
+}
+
+/// Parses the arguments after the command name into `inv` and returns 0, or
+/// prints usage and returns 2 for a bad invocation: a flag the command does
+/// not take, a bad value, or the wrong number of positionals.  A token that
+/// is no flag, or a value flag with nothing after it, is a positional.
+int parse(const Command& command, const std::vector<std::string>& args, Invocation& inv) {
+    for (std::size_t i = 1; i < args.size(); ++i) {
+        const std::string& token = args[i];
+        const auto named = [&token](const Flag& row) {
+            return token == row.spelling ||
+                   (row.joined && starts_with(token, std::string(row.spelling) + "="));
+        };
+        const Flag* flag = std::find_if(std::begin(kFlags), std::end(kFlags), named);
+        const bool joined = flag != std::end(kFlags) && token != flag->spelling;
+        if (flag == std::end(kFlags) ||
+            (flag->set != nullptr && !joined && i + 1 == args.size())) {
+            inv.positional.push_back(token);
+            continue;
+        }
+        if ((command.groups & flag->group) == 0) {
+            std::cerr << "error: " << command.name << " does not take " << flag->spelling
+                      << "\n";
+            return usage();
+        }
+        inv.governed = inv.governed || (flag->group & (kBudget | kDegrade)) != 0;
+        if (flag->on != nullptr) {
+            flag->on(inv);
+        } else if (!flag->set(inv, joined ? token.substr(token.find('=') + 1)
+                                          : args[++i])) {
+            return usage();
+        }
+    }
+    return inv.positional.size() == (inv.list ? 0 : command.positionals) ? 0 : usage();
 }
 
 }  // namespace
@@ -785,298 +1033,21 @@ int main(int argc, char** argv) {
             std::cerr << "error: " << e.what() << "\n";
             return 2;
         }
-        const std::string& command = args[0];
-        // Gather positional arguments and options.
-        std::optional<std::string> out;
-        std::optional<std::string> format;
-        std::optional<std::string> lint_format;
-        std::vector<std::string> lint_rule_ids;
-        Severity fail_on = Severity::error;
-        bool guard = false;
-        bool list_rules = false;
-        bool self_test = false;
-        GovernOptions govern_options;
-        bool governed = false;  // any budget flag seen
-        FuzzOptions fuzz_options;
-        fuzz_options.log = &std::cout;
-        std::optional<std::string> passes_spec;
-        std::optional<std::string> dump_after;
-        bool time_passes = false;
-        bool verify_each = false;
-        bool absint_json = false;
-        bool certify = false;
-        ServeCliOptions serve_options;
-        std::vector<std::string> positional;
-        for (std::size_t i = 1; i < args.size(); ++i) {
-            if (args[i] == "-o" && i + 1 < args.size()) {
-                out = args[++i];
-            } else if (args[i] == "--to" && i + 1 < args.size()) {
-                format = args[++i];
-            } else if (args[i] == "--iterations" && i + 1 < args.size()) {
-                const auto n = parse_int(args[++i]);
-                if (!n || *n < 0) {
-                    return usage();
-                }
-                fuzz_options.iterations = static_cast<std::uint64_t>(*n);
-            } else if (args[i] == "--seed" && i + 1 < args.size()) {
-                const auto n = parse_int(args[++i]);
-                if (!n || *n < 0) {
-                    return usage();
-                }
-                fuzz_options.seed = static_cast<std::uint64_t>(*n);
-            } else if (args[i] == "--oracles" && i + 1 < args.size()) {
-                for (const std::string& id : split(args[++i], ',')) {
-                    if (!id.empty()) {
-                        fuzz_options.oracles.push_back(id);
-                    }
-                }
-            } else if (args[i] == "--corpus" && i + 1 < args.size()) {
-                fuzz_options.corpus_dir = args[++i];
-            } else if (args[i] == "--failures" && i + 1 < args.size()) {
-                fuzz_options.failures_dir = args[++i];
-            } else if (args[i] == "--max-mutations" && i + 1 < args.size()) {
-                const auto n = parse_int(args[++i]);
-                if (!n || *n < 0) {
-                    return usage();
-                }
-                fuzz_options.max_mutations = static_cast<int>(*n);
-            } else if (args[i] == "--timeout-ms" && i + 1 < args.size()) {
-                const auto n = parse_int(args[++i]);
-                if (!n || *n <= 0) {
-                    return usage();
-                }
-                govern_options.budget.deadline = std::chrono::milliseconds(*n);
-                governed = true;
-            } else if (args[i] == "--max-steps" && i + 1 < args.size()) {
-                const auto n = parse_int(args[++i]);
-                if (!n || *n <= 0) {
-                    return usage();
-                }
-                govern_options.budget.max_steps = static_cast<std::uint64_t>(*n);
-                governed = true;
-            } else if (args[i] == "--max-memory-mb" && i + 1 < args.size()) {
-                const auto n = parse_int(args[++i]);
-                if (!n || *n <= 0) {
-                    return usage();
-                }
-                govern_options.budget.max_bytes =
-                    static_cast<std::uint64_t>(*n) * 1024 * 1024;
-                governed = true;
-            } else if (args[i] == "--degrade" && i + 1 < args.size()) {
-                const std::string& mode = args[++i];
-                if (mode == "never") {
-                    govern_options.degrade = DegradeMode::never;
-                } else if (mode == "auto") {
-                    govern_options.degrade = DegradeMode::auto_;
-                } else {
-                    return usage();
-                }
-                governed = true;
-            } else if (args[i] == "--passes" && i + 1 < args.size()) {
-                passes_spec = args[++i];
-            } else if (args[i].rfind("--passes=", 0) == 0) {
-                passes_spec = args[i].substr(9);
-            } else if (args[i] == "--dump-after" && i + 1 < args.size()) {
-                dump_after = args[++i];
-            } else if (args[i].rfind("--dump-after=", 0) == 0) {
-                dump_after = args[i].substr(13);
-            } else if (args[i] == "--time-passes") {
-                time_passes = true;
-            } else if (args[i] == "--verify-each") {
-                verify_each = true;
-            } else if (args[i] == "--json") {
-                absint_json = true;
-            } else if (args[i] == "--certify") {
-                certify = true;
-            } else if (args[i] == "--no-shrink") {
-                fuzz_options.shrink = false;
-            } else if (args[i] == "--self-test") {
-                self_test = true;
-            } else if (args[i] == "--format" && i + 1 < args.size()) {
-                // For lint this picks the report format; for convert it is
-                // an alias of --to (a format of the output graph).
-                lint_format = args[++i];
-                if (command == "lint" && *lint_format != "text" &&
-                    *lint_format != "json") {
-                    return usage();
-                }
-            } else if (args[i] == "--rules" && i + 1 < args.size()) {
-                for (const std::string& id : split(args[++i], ',')) {
-                    if (!id.empty()) {
-                        lint_rule_ids.push_back(id);
-                    }
-                }
-            } else if (args[i] == "--fail-on" && i + 1 < args.size()) {
-                const auto severity = parse_severity(args[++i]);
-                if (!severity) {
-                    return usage();
-                }
-                fail_on = *severity;
-            } else if (args[i] == "--lint") {
-                guard = true;
-            } else if (args[i] == "--list") {
-                list_rules = true;
-            } else if (args[i] == "--stdio") {
-                serve_options.socket.reset();
-                serve_options.tcp_port.reset();
-            } else if (args[i] == "--socket" && i + 1 < args.size()) {
-                serve_options.socket = args[++i];
-            } else if (args[i] == "--tcp" && i + 1 < args.size()) {
-                const auto n = parse_int(args[++i]);
-                if (!n || *n <= 0 || *n > 65535) {
-                    return usage();
-                }
-                serve_options.tcp_port = static_cast<unsigned short>(*n);
-            } else if (args[i] == "--threads" && i + 1 < args.size()) {
-                const auto n = parse_int(args[++i]);
-                if (!n || *n <= 0) {
-                    return usage();
-                }
-                serve_options.threads = static_cast<std::size_t>(*n);
-            } else if (args[i] == "--cache-entries" && i + 1 < args.size()) {
-                const auto n = parse_int(args[++i]);
-                if (!n || *n <= 0) {
-                    return usage();
-                }
-                serve_options.cache_entries = static_cast<std::size_t>(*n);
-            } else if (args[i] == "--max-queue" && i + 1 < args.size()) {
-                const auto n = parse_int(args[++i]);
-                if (!n || *n <= 0) {
-                    return usage();
-                }
-                serve_options.max_queue = static_cast<std::size_t>(*n);
-            } else if (args[i] == "--timings") {
-                serve_options.timings = true;
-            } else if (args[i] == "--cache-dir" && i + 1 < args.size()) {
-                serve_options.cache_dir = args[++i];
-            } else if (args[i] == "--request-deadline-ms" && i + 1 < args.size()) {
-                const auto n = parse_int(args[++i]);
-                if (!n || *n <= 0) {
-                    return usage();
-                }
-                serve_options.deadline_ms = static_cast<std::uint64_t>(*n);
-            } else if (args[i] == "--max-line-bytes" && i + 1 < args.size()) {
-                const auto n = parse_int(args[++i]);
-                if (!n || *n <= 0) {
-                    return usage();
-                }
-                serve_options.max_line_bytes = static_cast<std::size_t>(*n);
-            } else {
-                positional.push_back(args[i]);
-            }
+        const Command* found = std::find_if(
+            std::begin(kCommands), std::end(kCommands),
+            [&args](const Command& row) { return args[0] == row.name; });
+        if (found == std::end(kCommands)) {
+            return usage();
         }
-        if (command == "serve" && positional.empty()) {
-            return cmd_serve(serve_options, govern_options, governed);
+        Invocation inv;
+        if (const int invalid = parse(*found, args, inv)) {
+            return invalid;
         }
-        if (command == "lint" && list_rules && positional.empty()) {
-            return cmd_lint_list();
-        }
-        if (command == "fuzz" && positional.empty()) {
-            if (list_rules) {
-                return cmd_fuzz_list();
-            }
-            if (governed) {
-                // Each oracle run is governed; a tripped budget surfaces as
-                // a typed reject verdict, not a lost fuzzing campaign.
-                fuzz_options.limits.budget = govern_options.budget;
-            }
-            return self_test ? cmd_fuzz_self_test(std::move(fuzz_options))
-                             : cmd_fuzz(fuzz_options);
-        }
-        if (command == "lint" && positional.size() == 1) {
-            return cmd_lint(positional[0], lint_format.value_or("text"),
-                            lint_rule_ids, fail_on);
-        }
-        // The --lint guard: validate the model before the requested
-        // analysis touches it.
-        if (guard && positional.size() == 1 && command != "csdf-analyze" &&
-            command != "csdf-reduce" && !lint_guard_passes(positional[0])) {
+        // The --lint guard: validate the model before the command touches it.
+        if (inv.guard && !inv.list && !lint_guard_passes(inv)) {
             return 1;
         }
-        if (command == "info" && positional.size() == 1) {
-            return cmd_info(load(positional[0]));
-        }
-        if (command == "analyze" && positional.size() == 1) {
-            const Graph g = load(positional[0]);
-            if (certify || absint_json) {
-                return cmd_analyze_absint(g, absint_json, certify,
-                                          govern_options.budget);
-            }
-            return cmd_analyze(g, govern_options, governed);
-        }
-        if (command == "deadlock" && positional.size() == 1) {
-            return cmd_deadlock(load(positional[0]));
-        }
-        if (command == "schedule" && positional.size() == 1) {
-            return cmd_schedule(load(positional[0]));
-        }
-        if (command == "pipeline" && list_rules && positional.empty()) {
-            return cmd_pipeline_list();
-        }
-        if (command == "pipeline" && positional.size() == 1) {
-            if (!passes_spec) {
-                std::cerr << "error: pipeline requires --passes \"SPEC\", e.g. "
-                             "--passes \"selfloops,prune,hsdf-reduced\"\n"
-                             "see: sdfred_cli pipeline --list\n";
-                return 2;
-            }
-            // Conversions have no bound to degrade to: the budget either
-            // fits or the pipeline aborts with exit code 4.
-            return cmd_pipeline(positional[0], *passes_spec, verify_each, time_passes,
-                                dump_after, out, govern_options.budget);
-        }
-        if (command == "convert" && positional.size() == 1) {
-            if (!format) {
-                // --format doubles as the lint report format, so it lands in
-                // lint_format; accept it as the conversion target here.
-                format = lint_format;
-            }
-            if (!format) {
-                std::cerr << "error: convert requires an output format\n"
-                             "  add --to FMT (alias: --format FMT) with FMT one of:\n"
-                             "  hsdf | reduced-hsdf | abstract | abstract-sdf | "
-                             "text | xml | dot\n";
-                return 2;
-            }
-            return cmd_convert(load(positional[0]), *format, out,
-                               govern_options.budget);
-        }
-        if (command == "pareto" && positional.size() == 1) {
-            return cmd_pareto(load(positional[0]));
-        }
-        if (command == "sensitivity" && positional.size() == 1) {
-            return cmd_sensitivity(load(positional[0]));
-        }
-        if (command == "storage" && positional.size() == 1) {
-            return cmd_storage(load(positional[0]));
-        }
-        if (command == "csdf-analyze" && positional.size() == 1) {
-            return cmd_csdf_analyze(read_csdf_xml_file(positional[0]));
-        }
-        if (command == "csdf-reduce" && positional.size() == 1) {
-            save(csdf_to_reduced_hsdf(read_csdf_xml_file(positional[0])), out);
-            return 0;
-        }
-        if (command == "unfold" && positional.size() == 2) {
-            const auto n = parse_int(positional[0]);
-            if (!n || *n <= 0) {
-                return usage();
-            }
-            if (guard && !lint_guard_passes(positional[1])) {
-                return 1;
-            }
-            // Unfolding is the unfold(n) pass: ride the executor so budget
-            // flags govern it like every other transformation.
-            ExecutorOptions options;
-            options.budget = govern_options.budget;
-            save(PipelineExecutor(std::move(options))
-                     .run(parse_pipeline("unfold(" + std::to_string(*n) + ")"),
-                          load(positional[1]))
-                     .graph,
-                 out);
-            return 0;
-        }
-        return usage();
+        return found->run(inv);
     } catch (const ParseError& e) {
         // Bad input file: distinct from bad invocation (2) and failed
         // analysis (1) so scripts and CI can triage without text matching.
