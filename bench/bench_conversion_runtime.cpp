@@ -22,11 +22,9 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "base/cpudispatch.hpp"
 #include "base/thread_pool.hpp"
 #include "gen/benchmarks.hpp"
 #include "gen/structured.hpp"
-#include "maxplus/matrix.hpp"
 #include "sdf/repetition.hpp"
 #include "transform/hsdf_classic.hpp"
 #include "transform/hsdf_reduced.hpp"
@@ -111,69 +109,6 @@ void print_report(const std::vector<ModelReport>& reports) {
     std::printf("\n");
 }
 
-/// The SIMD kernel gate: densify fork_join(1024)'s iteration matrix by
-/// repeated squaring (composing 2^s graph iterations keeps the operand
-/// semantically meaningful and deterministic), then time the checked
-/// blocked kernel — the pre-SoA algorithm, still live as multiply's
-/// overflow fallback — against the dispatched SIMD multiply on it.  The
-/// result must be bit-identical to multiply_naive; CI asserts the >= 4x
-/// floor on this section.
-struct KernelReport {
-    std::string model;
-    std::size_t rows = 0;
-    Int power = 0;               // the operand is G^power
-    double density = 0;          // fraction of finite entries in the operand
-    std::string isa;             // dispatched tier the fast path ran on
-    sdfbench::Stats baseline_checked;  // multiply_checked (blocked scalar)
-    sdfbench::Stats optimized_simd;    // multiply (SIMD fast path)
-    double speedup = 0;
-    bool bit_identical_to_naive = false;
-};
-
-KernelReport measure_kernel_gate(int reps) {
-    KernelReport r;
-    r.model = "fork_join(1024)";
-    const Graph graph = fork_join_graph(1024, 5, 4);
-    const SymbolicIteration it = symbolic_iteration(graph);
-    MpMatrix dense = it.matrix.to_dense();
-    r.power = 1;
-    while (dense.density() < 0.5 && r.power < 32) {
-        dense = dense.multiply(dense);
-        r.power *= 2;
-    }
-    r.rows = dense.rows();
-    r.density = dense.density();
-    r.isa = isa_tier_name(active_isa_tier());
-    r.baseline_checked = sdfbench::measure_ms(reps, [&] {
-        benchmark::DoNotOptimize(dense.multiply_checked(dense));
-    });
-    r.optimized_simd = sdfbench::measure_ms(reps, [&] {
-        benchmark::DoNotOptimize(dense.multiply(dense));
-    });
-    r.speedup = r.optimized_simd.median_ms > 0
-                    ? r.baseline_checked.median_ms / r.optimized_simd.median_ms
-                    : 0;
-    r.bit_identical_to_naive = dense.multiply(dense) == dense.multiply_naive(dense);
-    return r;
-}
-
-std::string kernel_json(const KernelReport& r) {
-    std::string out = "  \"kernel\": {\n";
-    out += "    \"model\": \"" + sdfbench::json_escape(r.model) + "\",\n";
-    out += "    \"rows\": " + std::to_string(r.rows) + ",\n";
-    out += "    \"matrix_power\": " + std::to_string(r.power) + ",\n";
-    out += "    \"density\": " + sdfbench::json_num(r.density) + ",\n";
-    out += "    \"isa\": \"" + r.isa + "\",\n";
-    out += "    \"baseline_checked_blocked\": " + sdfbench::stats_json(r.baseline_checked) +
-           ",\n";
-    out += "    \"optimized_simd\": " + sdfbench::stats_json(r.optimized_simd) + ",\n";
-    out += "    \"speedup_simd_vs_checked\": " + sdfbench::json_num(r.speedup) + ",\n";
-    out += "    \"bit_identical_to_naive\": ";
-    out += r.bit_identical_to_naive ? "true" : "false";
-    out += "\n  }";
-    return out;
-}
-
 const ModelReport& largest_model(const std::vector<ModelReport>& reports) {
     const ModelReport* best = &reports.front();
     for (const ModelReport& r : reports) {
@@ -205,7 +140,7 @@ std::string model_json(const ModelReport& r) {
 }
 
 void write_json(const std::string& path, const std::vector<ModelReport>& reports,
-                const KernelReport& kernel, int reps) {
+                int reps) {
     const ModelReport& largest = largest_model(reports);
     std::ofstream out(path);
     out << "{\n";
@@ -213,7 +148,6 @@ void write_json(const std::string& path, const std::vector<ModelReport>& reports
     out << "  \"machine\": " << sdfbench::machine_json() << ",\n";
     out << "  \"threads\": " << global_thread_pool().size() << ",\n";
     out << "  \"reps\": " << reps << ",\n";
-    out << kernel_json(kernel) << ",\n";
     out << "  \"models\": [\n";
     for (std::size_t i = 0; i < reports.size(); ++i) {
         out << model_json(reports[i]) << (i + 1 < reports.size() ? ",\n" : "\n");
@@ -268,16 +202,8 @@ int main(int argc, char** argv) {
     }
     print_report(reports);
 
-    const KernelReport kernel = measure_kernel_gate(reps);
-    std::printf("SIMD kernel gate (%s, G^%lld: %zux%zu at %.1f%% density, isa=%s):\n"
-                "  checked blocked %.3fms vs SIMD %.3fms -> %.2fx, naive-identical: %s\n\n",
-                kernel.model.c_str(), static_cast<long long>(kernel.power), kernel.rows,
-                kernel.rows, kernel.density * 100.0, kernel.isa.c_str(),
-                kernel.baseline_checked.median_ms, kernel.optimized_simd.median_ms,
-                kernel.speedup, kernel.bit_identical_to_naive ? "yes" : "NO");
-
     if (!json_path.empty()) {
-        write_json(json_path, reports, kernel, reps);
+        write_json(json_path, reports, reps);
         return 0;
     }
     benchmark::Initialize(&argc, argv);

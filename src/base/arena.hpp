@@ -1,9 +1,9 @@
 // arena.hpp — bump-pointer arena for kernel temporaries.
 //
-// The max-plus hot paths (blocked multiply supports, per-row gather
-// buffers, Karp DP tables, dense SCC adjacencies) used to build and tear
-// down short-lived std::vectors on every call; under the thread pool that
-// is general-heap churn on every worker.  An Arena hands out raw storage
+// The max-cycle solvers' temporaries (Karp DP tables, dense SCC
+// adjacencies, Howard's policy arrays) used to build and tear down
+// short-lived std::vectors on every call; under the thread pool that is
+// general-heap churn on every worker.  An Arena hands out raw storage
 // from a small list of geometrically growing blocks: allocation is an
 // aligned bump, deallocation is rewinding to a mark, and the blocks are
 // *retained* across rewinds so a steady-state kernel run stops touching

@@ -5,8 +5,9 @@
 // Nodes are dense indices 0..node_count-1.  Every edge carries two int64
 // payloads, `weight` and `tokens`; algorithms that do not need them ignore
 // them.  This is deliberately untyped glue: the typed models live in
-// sdf::Graph (SDF graphs) and sdf::MpMatrix (max-plus matrices), both of
-// which lower onto this structure for the combinatorial work.
+// sdf::Graph (SDF graphs) and sdf::MpSparseMatrix (max-plus iteration
+// matrices), both of which lower onto this structure for the combinatorial
+// work.
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,9 @@
 // kernels.hpp — runtime-dispatched raw max-plus lane kernels.
 //
-// The SoA matrix layout (matrix.hpp) stores a row as a contiguous int64_t
-// lane array with kMpRawMinusInf == INT64_MIN encoding −∞.  Every dense
-// hot loop in the library — the column-block inner loop of
-// MpMatrix::multiply, the dense-SCC relaxation of Karp, the Floyd row
-// update of mp_closure — is the same primitive over such rows:
+// Karp's dense-SCC relaxation (mcm.cpp) keeps its distance table and the
+// SCC's adjacency as contiguous int64_t lane arrays with kMpRawMinusInf ==
+// INT64_MIN encoding −∞, and each of its per-k steps is one primitive over
+// such rows:
 //
 //     out[i] = max(out[i], row[i] ⊗ a)        (⊗ = max-plus multiply = +)
 //
@@ -18,10 +17,10 @@
 //
 // OVERFLOW CONTRACT: axpy_max adds *unchecked*.  Callers must prove, before
 // entering the kernel, that |row[i]| + |a| cannot exceed INT64_MAX for any
-// finite lane (see MpMatrix::max_abs_finite and the per-kernel safe-bound
-// checks); inputs outside that bound take the checked scalar fallback paths
-// instead, so exactness is never at risk.  The bound also keeps a finite
-// sum from colliding with the INT64_MIN sentinel.
+// finite lane (Karp checks (n+1)·max|w| against INT64_MAX); inputs outside
+// that bound take the checked scalar edge loop instead, so exactness is
+// never at risk.  The bound also keeps a finite sum from colliding with the
+// INT64_MIN sentinel.
 #pragma once
 
 #include <cstddef>

@@ -1,16 +1,9 @@
 #include "maxplus/matrix.hpp"
 
-#include <algorithm>
-#include <cstdint>
 #include <limits>
 #include <ostream>
-#include <utility>
 
-#include "base/arena.hpp"
-#include "base/checked.hpp"
 #include "base/errors.hpp"
-#include "base/thread_pool.hpp"
-#include "maxplus/kernels.hpp"
 #include "robust/budget.hpp"
 
 namespace sdf {
@@ -80,281 +73,7 @@ double MpMatrix::density() const {
     return static_cast<double>(finite_entry_count()) / static_cast<double>(entries_.size());
 }
 
-std::uint64_t MpMatrix::max_abs_finite() const {
-    std::uint64_t best = 0;
-    for (const Int v : entries_) {
-        if (v == kMpRawMinusInf) {
-            continue;
-        }
-        // v > INT64_MIN is guaranteed by the sentinel encoding, so -v is safe.
-        const std::uint64_t magnitude = static_cast<std::uint64_t>(v < 0 ? -v : v);
-        if (magnitude > best) {
-            best = magnitude;
-        }
-    }
-    return best;
-}
-
-namespace {
-
-/// Per-row finite supports of a matrix, split into column blocks: block b
-/// holds, row by row, the finite entries with column in
-/// [b·block_cols, (b+1)·block_cols).  Iterating one block across all the
-/// rows an output row depends on keeps the touched output segment inside
-/// L1 no matter how wide the matrix is.
-///
-/// Rows dense enough for the SIMD lane kernel to beat the scalar CSR loop
-/// are flagged instead of copied out: the SoA layout makes the row itself
-/// (raw_row) the kernel operand, so the support carries no data for them.
-/// All arrays live in the caller's scratch arena.
-struct BlockedSupport {
-    std::size_t block_cols = 0;
-    std::size_t num_blocks = 0;
-    std::size_t rows = 0;
-    const std::size_t* start = nullptr;  ///< CSR starts: [b * (rows+1) + j]
-    const std::uint32_t* col = nullptr;  ///< global column indices
-    const Int* val = nullptr;            ///< raw finite values
-    const unsigned char* dense = nullptr;  ///< 1 = serve row from raw lanes
-};
-
-// 512 columns × 8 bytes per lane = 4 KiB of output per block, well inside
-// L1 alongside the block's own entries.
-constexpr std::size_t kBlockCols = 512;
-
-/// A row goes through the SIMD lane kernel once at least 1/8 of its lanes
-/// are finite: the vector tiers process 4–8 lanes per op, so reading the
-/// full row beats chasing a sparse index list from that density on.
-bool dense_enough(std::size_t finite, std::size_t cols) {
-    return finite * 8 >= cols;
-}
-
-BlockedSupport build_blocked_support(const MpMatrix& m, Arena& arena, bool allow_dense) {
-    BlockedSupport s;
-    s.block_cols = kBlockCols;
-    s.num_blocks = (m.cols() + kBlockCols - 1) / kBlockCols;
-    if (s.num_blocks == 0) {
-        s.num_blocks = 1;
-    }
-    s.rows = m.rows();
-    unsigned char* dense = arena.alloc_array<unsigned char>(m.rows());
-    std::size_t* start = arena.alloc_array<std::size_t>(s.num_blocks * (m.rows() + 1));
-    std::fill(start, start + s.num_blocks * (m.rows() + 1), std::size_t{0});
-    // Counting pass, then prefix sums, then the fill pass: two linear scans
-    // instead of per-row push_back reallocation churn.
-    for (std::size_t j = 0; j < m.rows(); ++j) {
-        const Int* row = m.raw_row(j);
-        std::size_t finite = 0;
-        for (std::size_t k = 0; k < m.cols(); ++k) {
-            if (row[k] != kMpRawMinusInf) {
-                ++finite;
-            }
-        }
-        dense[j] = allow_dense && finite > 0 && dense_enough(finite, m.cols()) ? 1 : 0;
-        if (dense[j] != 0) {
-            continue;  // served straight from raw_row, nothing to copy
-        }
-        for (std::size_t k = 0; k < m.cols(); ++k) {
-            if (row[k] != kMpRawMinusInf) {
-                ++start[(k / kBlockCols) * (m.rows() + 1) + j + 1];
-            }
-        }
-    }
-    std::size_t total = 0;
-    for (std::size_t b = 0; b < s.num_blocks; ++b) {
-        std::size_t* bstart = start + b * (m.rows() + 1);
-        for (std::size_t j = 0; j < m.rows(); ++j) {
-            bstart[j + 1] += bstart[j];
-        }
-        total += bstart[m.rows()];
-    }
-    std::uint32_t* col = arena.alloc_array<std::uint32_t>(total);
-    Int* val = arena.alloc_array<Int>(total);
-    // Per-block write offsets; the fill pass restores them row by row.
-    std::size_t* base = arena.alloc_array<std::size_t>(s.num_blocks + 1);
-    base[0] = 0;
-    for (std::size_t b = 0; b < s.num_blocks; ++b) {
-        base[b + 1] = base[b] + start[b * (m.rows() + 1) + m.rows()];
-    }
-    std::size_t* cursor = arena.alloc_array<std::size_t>(s.num_blocks);
-    for (std::size_t j = 0; j < m.rows(); ++j) {
-        if (dense[j] != 0) {
-            continue;
-        }
-        for (std::size_t b = 0; b < s.num_blocks; ++b) {
-            cursor[b] = base[b] + start[b * (m.rows() + 1) + j];
-        }
-        const Int* row = m.raw_row(j);
-        for (std::size_t k = 0; k < m.cols(); ++k) {
-            if (row[k] != kMpRawMinusInf) {
-                const std::size_t b = k / kBlockCols;
-                col[cursor[b]] = static_cast<std::uint32_t>(k);
-                val[cursor[b]] = row[k];
-                ++cursor[b];
-            }
-        }
-    }
-    // Rebase the per-block CSR starts to the flat col/val arrays.
-    for (std::size_t b = 0; b < s.num_blocks; ++b) {
-        std::size_t* bstart = start + b * (m.rows() + 1);
-        for (std::size_t j = 0; j <= m.rows(); ++j) {
-            bstart[j] += base[b];
-        }
-    }
-    s.start = start;
-    s.col = col;
-    s.val = val;
-    s.dense = dense;
-    return s;
-}
-
-}  // namespace
-
 MpMatrix MpMatrix::multiply(const MpMatrix& other) const {
-    if (cols_ != other.rows_) {
-        throw ArithmeticError("max-plus matrix dimension mismatch in multiply");
-    }
-    MpMatrix result(rows_, other.cols_);
-    // Safe-magnitude bound: every product entry is a(i,j) + b(j,k), so when
-    // the two finite-magnitude maxima sum within int64 nothing can overflow
-    // (and nothing can land on the INT64_MIN sentinel), making the
-    // unchecked SIMD fast path exact.  Past the bound, fall back to the
-    // overflow-checked kernel — same results, same ArithmeticError on a
-    // genuine overflow as multiply_naive.
-    const std::uint64_t bound = max_abs_finite() + other.max_abs_finite();
-    const bool checked = bound > static_cast<std::uint64_t>(std::numeric_limits<Int>::max());
-    multiply_into(other, result, checked);
-    return result;
-}
-
-MpMatrix MpMatrix::multiply_checked(const MpMatrix& other) const {
-    if (cols_ != other.rows_) {
-        throw ArithmeticError("max-plus matrix dimension mismatch in multiply");
-    }
-    MpMatrix result(rows_, other.cols_);
-    multiply_into(other, result, /*checked=*/true);
-    return result;
-}
-
-void MpMatrix::multiply_into(const MpMatrix& other, MpMatrix& result, bool checked) const {
-    if (rows_ == 0 || cols_ == 0 || other.cols_ == 0) {
-        return;
-    }
-    // The support is built once on the calling thread and read by every
-    // worker; per-row gather buffers live in each worker's own arena.
-    Arena& arena = scratch_arena();
-    const Arena::Scope support_scope(arena);
-    const BlockedSupport b = build_blocked_support(other, arena, /*allow_dense=*/!checked);
-    const auto axpy = mp_kernels().axpy_max;
-    const std::size_t out_cols = other.cols_;
-
-    // Dense-A fast path: per-row processing streams all of B once per
-    // output row, which turns the SIMD loop memory-bound on large dense
-    // operands.  Tiling kRowTile output rows against each B row slice
-    // reuses the slice while it is hot in L1, dividing B traffic by the
-    // tile height.  Reading A(i,j) straight from the raw lanes costs a
-    // sentinel check per (tile row, j), so only dense A earns the path.
-    if (!checked && finite_entry_count() * 8 >= rows_ * cols_) {
-        constexpr std::size_t kRowTile = 8;
-        const std::size_t tiles = (rows_ + kRowTile - 1) / kRowTile;
-        const auto compute_tile = [&](std::size_t t) {
-            SDFRED_CHECKPOINT();
-            const std::size_t i0 = t * kRowTile;
-            const std::size_t i1 = std::min(i0 + kRowTile, rows_);
-            for (std::size_t blk = 0; blk < b.num_blocks; ++blk) {
-                const std::size_t blk_begin = blk * b.block_cols;
-                const std::size_t blk_width =
-                    std::min(b.block_cols, out_cols - std::min(out_cols, blk_begin));
-                const std::size_t* start = b.start + blk * (b.rows + 1);
-                for (std::size_t j = 0; j < cols_; ++j) {
-                    const bool jdense = b.dense[j] != 0;
-                    if (!jdense && start[j] == start[j + 1]) {
-                        continue;
-                    }
-                    for (std::size_t i = i0; i < i1; ++i) {
-                        const Int a = entries_[i * cols_ + j];
-                        if (a == kMpRawMinusInf) {
-                            continue;
-                        }
-                        Int* out = result.raw_row(i);
-                        if (jdense) {
-                            axpy(out + blk_begin, other.raw_row(j) + blk_begin, a,
-                                 blk_width);
-                            continue;
-                        }
-                        for (std::size_t u = start[j]; u < start[j + 1]; ++u) {
-                            const Int candidate = a + b.val[u];  // bound-proven
-                            Int& slot = out[b.col[u]];
-                            if (slot < candidate) {
-                                slot = candidate;
-                            }
-                        }
-                    }
-                }
-            }
-        };
-        parallel_for(0, tiles, 1, compute_tile);
-        return;
-    }
-
-    const auto compute_row = [&](std::size_t i) {
-        SDFRED_CHECKPOINT();
-        Arena& row_arena = scratch_arena();
-        const Arena::Scope row_scope(row_arena);
-        // Gather row i's finite support once; every block pass replays it.
-        const Int* arow = raw_row(i);
-        auto* asup = row_arena.alloc_array<std::pair<std::uint32_t, Int>>(cols_);
-        std::size_t na = 0;
-        for (std::size_t j = 0; j < cols_; ++j) {
-            if (arow[j] != kMpRawMinusInf) {
-                asup[na++] = {static_cast<std::uint32_t>(j), arow[j]};
-            }
-        }
-        if (na == 0) {
-            return;
-        }
-        Int* out = result.raw_row(i);
-        for (std::size_t blk = 0; blk < b.num_blocks; ++blk) {
-            const std::size_t blk_begin = blk * b.block_cols;
-            const std::size_t blk_width =
-                std::min(b.block_cols, out_cols - std::min(out_cols, blk_begin));
-            const std::size_t* start = b.start + blk * (b.rows + 1);
-            for (std::size_t t = 0; t < na; ++t) {
-                const std::uint32_t j = asup[t].first;
-                const Int a = asup[t].second;
-                if (b.dense[j] != 0) {
-                    // Dense B row: the raw lane array itself is the kernel
-                    // operand (unchecked mode only; bound proven upfront).
-                    axpy(out + blk_begin, other.raw_row(j) + blk_begin, a, blk_width);
-                    continue;
-                }
-                if (checked) {
-                    for (std::size_t u = start[j]; u < start[j + 1]; ++u) {
-                        const Int candidate = checked_add(a, b.val[u]);
-                        Int& slot = out[b.col[u]];
-                        if (slot == kMpRawMinusInf || slot < candidate) {
-                            slot = candidate;
-                        }
-                    }
-                } else {
-                    for (std::size_t u = start[j]; u < start[j + 1]; ++u) {
-                        const Int candidate = a + b.val[u];  // bound-proven
-                        Int& slot = out[b.col[u]];
-                        if (slot < candidate) {  // sentinel loses: INT64_MIN < finite
-                            slot = candidate;
-                        }
-                    }
-                }
-            }
-        }
-    };
-
-    // Row blocks are independent; dispatch them on the pool once the matrix
-    // is big enough for the fan-out to pay for itself.
-    const std::size_t grain = rows_ >= 128 ? 16 : rows_;
-    parallel_for(0, rows_, grain, compute_row);
-}
-
-MpMatrix MpMatrix::multiply_naive(const MpMatrix& other) const {
     if (cols_ != other.rows_) {
         throw ArithmeticError("max-plus matrix dimension mismatch in multiply");
     }
@@ -423,7 +142,7 @@ Digraph MpMatrix::precedence_graph() const {
     }
     Digraph g(rows_);
     for (std::size_t j = 0; j < rows_; ++j) {
-        const Int* row = raw_row(j);
+        const Int* row = entries_.data() + j * cols_;
         for (std::size_t k = 0; k < cols_; ++k) {
             if (row[k] != kMpRawMinusInf) {
                 g.add_edge(j, k, row[k], /*tokens=*/1);

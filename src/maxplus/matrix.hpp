@@ -7,18 +7,20 @@
 // throughput — is the max-plus eigenvalue of G, i.e. the maximum cycle mean
 // of G's precedence graph (see mcm.hpp).
 //
-// Storage is structure-of-arrays: a row is one contiguous int64_t lane
-// array with kMpRawMinusInf (INT64_MIN) encoding −∞, not an array of
-// 16-byte MpValue structs.  That halves the footprint and lets the dense
-// inner loops run the runtime-dispatched SIMD kernels of kernels.hpp
-// directly over raw rows.  The MpValue accessors convert at the edge; the
-// one semantic consequence is that the finite value INT64_MIN is reserved
-// for the sentinel and set() rejects it (it is unreachable from SDF inputs,
-// whose times are naturals, and from checked arithmetic over them).
+// The production routes read G in compressed sparse columns
+// (sparse_matrix.hpp).  This dense form is the reference the differential
+// checks read: the dense symbolic loop, G^k through power() for the
+// makespan oracle, and from_dense()/to_dense() round trips in tests.
+//
+// Storage is one row-major int64_t lane array with kMpRawMinusInf
+// (INT64_MIN) encoding −∞, not an array of 16-byte MpValue structs.  The
+// MpValue accessors convert at the edge; the one semantic consequence is
+// that the finite value INT64_MIN is reserved for the sentinel and set()
+// rejects it (it is unreachable from SDF inputs, whose times are naturals,
+// and from checked arithmetic over them).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -55,13 +57,6 @@ public:
         entries_[row * cols_ + col] = checked_raw(value);
     }
 
-    /// Row `row` as a raw sentinel-encoded lane array of cols() entries
-    /// (see the file comment); the storage the SIMD kernels run over.
-    [[nodiscard]] const Int* raw_row(std::size_t row) const {
-        return entries_.data() + row * cols_;
-    }
-    [[nodiscard]] Int* raw_row(std::size_t row) { return entries_.data() + row * cols_; }
-
     /// Installs max-plus vector `stamp` as column `col` (the stamp of the
     /// col-th new token).
     void set_column(std::size_t col, const MpVector& stamp);
@@ -76,32 +71,10 @@ public:
     [[nodiscard]] double density() const;
 
     /// Max-plus matrix product (A ⊗ B)(i,k) = max_j A(i,j) + B(j,k);
-    /// composing two iterations of the graph.  Sparsity-aware and blocked
-    /// for L1 as before, with a two-speed overflow strategy: when
-    /// max_abs_finite(A) + max_abs_finite(B) fits int64 no product entry
-    /// can overflow, so the inner loops run unchecked — dense B rows
-    /// through the runtime-dispatched SIMD kernels (kernels.hpp), sparse
-    /// rows through an unchecked scalar CSR loop.  Otherwise every addition
-    /// goes through multiply_checked.  Independent row blocks run on the
-    /// global thread pool; temporaries live in per-thread arenas.  Produces
-    /// exactly the same matrix (or the same ArithmeticError) as
-    /// multiply_naive.
+    /// composing two iterations of the graph.  The O(rows·cols·cols)
+    /// triple loop over the finite entries; every addition is checked, so
+    /// an entry that leaves int64 throws ArithmeticError.
     [[nodiscard]] MpMatrix multiply(const MpMatrix& other) const;
-
-    /// The pre-SIMD blocked kernel: sparsity-aware column-blocked loops
-    /// with overflow-checked additions.  It is the fallback multiply takes
-    /// when the safe-magnitude bound fails, and the baseline the bench
-    /// gate measures the SIMD path against.
-    [[nodiscard]] MpMatrix multiply_checked(const MpMatrix& other) const;
-
-    /// The reference O(rows·cols·cols) triple loop the optimized kernels
-    /// are differentially tested against.
-    [[nodiscard]] MpMatrix multiply_naive(const MpMatrix& other) const;
-
-    /// Largest |value| over the finite entries (0 when there are none).
-    /// multiply's safe-magnitude bound: a ⊗-product of two matrices cannot
-    /// overflow when the two maxima sum below INT64_MAX.
-    [[nodiscard]] std::uint64_t max_abs_finite() const;
 
     /// Max-plus matrix power by repeated squaring; `exponent` >= 0; the
     /// matrix must be square.  Power 0 is the identity, power 1 a copy —
@@ -127,8 +100,6 @@ private:
     /// The raw lane for `value`; rejects finite INT64_MIN, which would
     /// alias the −∞ sentinel (see the file comment).
     static Int checked_raw(MpValue value);
-
-    void multiply_into(const MpMatrix& other, MpMatrix& result, bool checked) const;
 
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;

@@ -107,6 +107,45 @@ MpSparseMatrix::RowMajor MpSparseMatrix::row_major() const {
     return out;
 }
 
+MpSparseMatrix MpSparseMatrix::max_with(const MpSparseMatrix& other) const {
+    if (rows_ != other.rows_ || cols_ != other.cols_) {
+        throw ArithmeticError("max-plus matrix dimension mismatch in max_with");
+    }
+    MpSparseMatrix m;
+    m.allocate(rows_, cols_, row_.size() + other.row_.size());
+    const auto push = [&m](std::uint32_t row, Int value) {
+        m.row_.push_back(row);
+        m.value_.push_back(value);
+    };
+    for (std::size_t k = 0; k < cols_; ++k) {
+        std::size_t a = col_ptr_[k];
+        std::size_t b = other.col_ptr_[k];
+        const std::size_t a_end = col_ptr_[k + 1];
+        const std::size_t b_end = other.col_ptr_[k + 1];
+        while (a < a_end && b < b_end) {
+            if (row_[a] < other.row_[b]) {
+                push(row_[a], value_[a]);
+                ++a;
+            } else if (other.row_[b] < row_[a]) {
+                push(other.row_[b], other.value_[b]);
+                ++b;
+            } else {
+                push(row_[a], std::max(value_[a], other.value_[b]));
+                ++a;
+                ++b;
+            }
+        }
+        for (; a < a_end; ++a) {
+            push(row_[a], value_[a]);
+        }
+        for (; b < b_end; ++b) {
+            push(other.row_[b], other.value_[b]);
+        }
+        m.col_ptr_[k + 1] = m.row_.size();
+    }
+    return m;
+}
+
 Digraph MpSparseMatrix::precedence_graph() const {
     if (rows_ != cols_) {
         throw ArithmeticError("precedence graph of a non-square matrix");

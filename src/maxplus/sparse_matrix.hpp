@@ -14,9 +14,11 @@
 // Both readers run in O(N + nnz).  They visit entries in the row-major
 // (j, then k) order of the dense scan they replace, through a counting sort
 // by row (row_major()), so Howard's policy, the certificate witnesses and
-// the Figure-4 actor order see the same sequence as before.  The dense
-// MpMatrix stays for the algebra that needs it (power, closure, eigen, the
-// SIMD kernels) and is built only on request, by to_dense().
+// the Figure-4 actor order see the same sequence as before.  The scenario
+// envelope is an entry-wise max of such matrices, merged column by column
+// (max_with).  The dense MpMatrix stays as the reference the differential
+// checks read (the dense symbolic loop, power for the makespan oracle) and
+// is built only on request, by to_dense().
 #pragma once
 
 #include <cstddef>
@@ -75,6 +77,11 @@ public:
         std::vector<std::size_t> col;
     };
     [[nodiscard]] RowMajor row_major() const;
+
+    /// The entry-wise max (⊕) with a matrix of the same shape: each column
+    /// is the merge of the two columns' entries, rows ascending, the larger
+    /// value where both are finite.  O(cols + both nnz).
+    [[nodiscard]] MpSparseMatrix max_with(const MpSparseMatrix& other) const;
 
     /// The precedence graph of a square matrix: one node per index, one
     /// edge j -> k with weight G(j,k) and one token per finite entry, in

@@ -19,8 +19,8 @@ namespace sdf {
 /// Raw structure-of-arrays encoding of a max-plus scalar: one int64_t lane
 /// with INT64_MIN standing in for −∞ (it is the neutral element of signed
 /// max, so plain integer max implements ⊕ on raw lanes).  The finite value
-/// INT64_MIN itself is reserved — MpMatrix::set rejects it — which the
-/// SIMD kernels (maxplus/kernels.hpp) rely on.
+/// INT64_MIN itself is reserved — the dense matrix's set() (matrix.hpp)
+/// rejects it — which the SIMD kernels (maxplus/kernels.hpp) rely on.
 inline constexpr Int kMpRawMinusInf = std::numeric_limits<Int>::min();
 
 /// A max-plus scalar: either a finite 64-bit integer or minus infinity.

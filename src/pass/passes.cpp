@@ -256,8 +256,8 @@ public:
 
 /// scenario-envelope — the scenario machinery applied to the degenerate
 /// single-scenario set {this graph}: the envelope equals the graph's own
-/// iteration matrix, so the result is its Figure 4 HSDF via an independent
-/// code path (a built-in cross-check of the two constructions).
+/// iteration matrix, so the result is its Figure 4 HSDF, reached through
+/// analyse_scenarios rather than the graph's symbolic-iteration slot.
 class ScenarioEnvelopePass final : public Pass {
 public:
     std::string name() const override { return "scenario-envelope"; }

@@ -88,12 +88,6 @@ Graph reduced_hsdf_from_matrix(const MpSparseMatrix& matrix, const std::string& 
     return graph;
 }
 
-Graph reduced_hsdf_from_matrix(const MpMatrix& matrix, const std::string& name,
-                               const ReducedHsdfOptions& options) {
-    require(matrix.rows() == matrix.cols(), "iteration matrix must be square");
-    return reduced_hsdf_from_matrix(MpSparseMatrix::from_dense(matrix), name, options);
-}
-
 Graph to_hsdf_reduced(const Graph& graph, const ReducedHsdfOptions& options) {
     const auto iteration = graph.analyses()->get<SymbolicIterationAnalysis>(graph);
     return reduced_hsdf_from_matrix(iteration->matrix, graph.name() + "_rhsdf", options);

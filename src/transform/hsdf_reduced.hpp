@@ -27,7 +27,6 @@
 
 #include <string>
 
-#include "maxplus/matrix.hpp"
 #include "maxplus/sparse_matrix.hpp"
 #include "sdf/graph.hpp"
 
@@ -47,11 +46,6 @@ struct ReducedHsdfOptions {
 /// come in row-major order, then the demuxes, the muxes and src_ actors by
 /// column, then the token edges — the text is stable across routes.
 Graph reduced_hsdf_from_matrix(const MpSparseMatrix& matrix, const std::string& name,
-                               const ReducedHsdfOptions& options = {});
-
-/// The same construction from a dense matrix (hand-built matrices, the
-/// scenario envelope): checks squareness, converts, delegates.
-Graph reduced_hsdf_from_matrix(const MpMatrix& matrix, const std::string& name,
                                const ReducedHsdfOptions& options = {});
 
 /// Convenience: the graph's symbolic-iteration slot (symbolic.hpp) +

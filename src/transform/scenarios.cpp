@@ -1,5 +1,7 @@
 #include "transform/scenarios.hpp"
 
+#include <utility>
+
 #include "base/errors.hpp"
 #include "maxplus/mcm.hpp"
 #include "transform/hsdf_reduced.hpp"
@@ -13,44 +15,34 @@ ScenarioAnalysis analyse_scenarios(const std::vector<Scenario>& scenarios) {
     }
     ScenarioAnalysis result;
     std::size_t token_count = 0;
+    // Worst case over arbitrary switching: MCM of the union of all
+    // precedence graphs — every mixed cycle is realisable by scheduling,
+    // per step, the scenario contributing that edge.  Each scenario's edges
+    // are appended in turn, row-major within the scenario.
+    Digraph union_graph;
     for (std::size_t s = 0; s < scenarios.size(); ++s) {
-        const SymbolicIteration iteration = symbolic_iteration(scenarios[s].graph);
-        const MpMatrix matrix = iteration.matrix.to_dense();
+        SymbolicIteration iteration = symbolic_iteration(scenarios[s].graph);
         if (s == 0) {
             token_count = iteration.tokens.size();
-            result.envelope = MpMatrix(token_count, token_count);
+            union_graph = Digraph(token_count);
         } else if (iteration.tokens.size() != token_count) {
             throw Error("scenario '" + scenarios[s].name +
                         "' has a different initial-token count");
         }
-        const CycleMetric metric =
-            max_cycle_mean(iteration.matrix.precedence_graph());
+        const Digraph precedence = iteration.matrix.precedence_graph();
+        const CycleMetric metric = max_cycle_mean(precedence);
         if (metric.outcome != CycleOutcome::finite || metric.value.is_zero()) {
             throw Error("scenario '" + scenarios[s].name +
                         "' has no finite positive standalone period");
         }
+        for (const DigraphEdge& e : precedence.edges()) {
+            union_graph.add_edge(e.from, e.to, e.weight, e.tokens);
+        }
         result.names.push_back(scenarios[s].name);
         result.periods.push_back(metric.value);
-        for (std::size_t j = 0; j < token_count; ++j) {
-            for (std::size_t k = 0; k < token_count; ++k) {
-                result.envelope.set(j, k, mp_max(result.envelope.at(j, k), matrix.at(j, k)));
-            }
-        }
-        result.matrices.push_back(matrix);
-    }
-    // Worst case over arbitrary switching: MCM of the union of all
-    // precedence graphs — every mixed cycle is realisable by scheduling,
-    // per step, the scenario contributing that edge.
-    Digraph union_graph(token_count);
-    for (const MpMatrix& matrix : result.matrices) {
-        for (std::size_t j = 0; j < token_count; ++j) {
-            for (std::size_t k = 0; k < token_count; ++k) {
-                const MpValue v = matrix.at(j, k);
-                if (v.is_finite()) {
-                    union_graph.add_edge(j, k, v.value(), 1);
-                }
-            }
-        }
+        result.envelope =
+            s == 0 ? iteration.matrix : result.envelope.max_with(iteration.matrix);
+        result.matrices.push_back(std::move(iteration.matrix));
     }
     const CycleMetric worst = max_cycle_mean(union_graph);
     if (!worst.is_finite()) {

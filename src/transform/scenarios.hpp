@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "base/rational.hpp"
-#include "maxplus/matrix.hpp"
+#include "maxplus/sparse_matrix.hpp"
 #include "sdf/graph.hpp"
 
 namespace sdf {
@@ -38,11 +38,11 @@ struct Scenario {
 
 /// Result of a scenario analysis.
 struct ScenarioAnalysis {
-    std::vector<std::string> names;     ///< scenario names, analysis order
-    std::vector<MpMatrix> matrices;     ///< per-scenario iteration matrices
-    std::vector<Rational> periods;      ///< per-scenario standalone periods
-    Rational worst_case_period;         ///< over arbitrary scenario sequences
-    MpMatrix envelope;                  ///< entry-wise max of all matrices
+    std::vector<std::string> names;        ///< scenario names, analysis order
+    std::vector<MpSparseMatrix> matrices;  ///< per-scenario iteration matrices
+    std::vector<Rational> periods;         ///< per-scenario standalone periods
+    Rational worst_case_period;            ///< over arbitrary scenario sequences
+    MpSparseMatrix envelope;               ///< entry-wise max of all matrices
 };
 
 /// Analyses a non-empty scenario set.  Every scenario graph must be

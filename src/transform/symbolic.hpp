@@ -52,7 +52,7 @@ struct DenseSymbolicIteration {
 /// production routes keep the matrix sparse, so the guard no longer sizes
 /// a matrix that must fit; it bounds the per-token FIFO work of the token
 /// game and the dense consumers a caller may still reach (to_dense() for
-/// power, closure and eigen, and the dense reference loop), where 16384²
+/// power, and the dense reference loop), where 16384²
 /// entries is a 2 GiB matrix — far past every practical model (lint rule
 /// SDF009 warns much earlier).  The SDF, warm-state and CSDF routes all
 /// refuse above it with ResourceLimitError, before allocating anything.

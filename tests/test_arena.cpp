@@ -1,16 +1,18 @@
-// test_arena — the bump-pointer arena behind the SIMD kernel temporaries:
-// bump/rewind/reuse mechanics, the byte-accounting hook into governed
-// ExecutionBudgets (charged before allocation: strong guarantee), and
-// SDFRED_FAULT_INJECT-style alloc faults injected through the same hook.
+// test_arena — the bump-pointer arena behind the max-cycle solvers'
+// temporaries: bump/rewind/reuse mechanics, the byte-accounting hook into
+// governed ExecutionBudgets (charged before allocation: strong guarantee),
+// and SDFRED_FAULT_INJECT-style alloc faults injected through the same hook.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <new>
+#include <string>
 
 #include "base/arena.hpp"
+#include "base/digraph.hpp"
 #include "base/errors.hpp"
-#include "maxplus/matrix.hpp"
+#include "maxplus/mcm.hpp"
 #include "robust/budget.hpp"
 #include "robust/fault.hpp"
 
@@ -145,32 +147,36 @@ TEST(ArenaBudget, InjectedAllocFaultLeavesArenaUnchanged) {
     EXPECT_EQ(arena.block_count(), 1u);
 }
 
-TEST(ArenaBudget, GovernedMultiplySurvivesAllocFaultSweep) {
+TEST(ArenaBudget, GovernedKarpSurvivesAllocFaultSweep) {
     // Inject a bad_alloc at every accounted-allocation index in turn; the
-    // governed multiply must either throw that bad_alloc or complete with
-    // the exact ungoverned result — never crash, never corrupt later runs.
-    MpMatrix a(12, 12);
-    MpMatrix b(12, 12);
+    // governed Karp solve of a complete digraph — its dense path, with the
+    // DP table and the adjacency in the scratch arena — must either throw
+    // that bad_alloc or return the exact ungoverned λ: never crash, never
+    // corrupt later runs.
+    Digraph g(12);
     for (std::size_t i = 0; i < 12; ++i) {
         for (std::size_t j = 0; j < 12; ++j) {
-            a.set(i, j, MpValue(static_cast<Int>(i * 3 + j)));
-            b.set(i, j, MpValue(static_cast<Int>(7 * i) - static_cast<Int>(j)));
+            g.add_edge(i, j, static_cast<Int>((i * 7 + j * 3) % 23), 1);
         }
     }
-    const MpMatrix expected = a.multiply_naive(b);
+    const CycleMetric expected = max_cycle_mean_karp(g);
+    ASSERT_TRUE(expected.is_finite());
+    int faults = 0;
     for (int n = 1; n <= 8; ++n) {
         Governor governor{ExecutionBudget{}};
         const GovernorScope scope(governor);
         const FaultInjectionScope fault("alloc:" + std::to_string(n));
         try {
-            const MpMatrix product = a.multiply(b);
-            EXPECT_EQ(product, expected) << "alloc:" << n;
+            const CycleMetric metric = max_cycle_mean_karp(g);
+            EXPECT_TRUE(metric.is_finite()) << "alloc:" << n;
+            EXPECT_EQ(metric.value, expected.value) << "alloc:" << n;
         } catch (const std::bad_alloc&) {
-            // Injected; state must be intact for the next round.
+            ++faults;  // injected; state must be intact for the next round
         }
     }
+    EXPECT_GT(faults, 0) << "no index of the sweep reached an accounted allocation";
     // After the sweep every retry reproduces the reference bit-for-bit.
-    EXPECT_EQ(a.multiply(b), expected);
+    EXPECT_EQ(max_cycle_mean_karp(g).value, expected.value);
 }
 
 }  // namespace

@@ -93,6 +93,23 @@ TEST_F(CliTest, FlagsACommandDoesNotTakeAreInvocationErrors) {
     EXPECT_FALSE(std::filesystem::exists(out));
 }
 
+TEST_F(CliTest, ValueFlagsWithoutAValueAreInvocationErrors) {
+    // A value flag as the last token used to become a positional, so lint
+    // and analyze opened it as the model file and exited 3.
+    const std::string model = dir_ + "/h263.sdf";
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"lint --format", "error: --format needs a value"},
+        {"analyze --max-steps", "error: --max-steps needs a value"},
+        {"lint " + model + " --rules", "error: --rules needs a value"},
+    };
+    for (const auto& [arguments, message] : cases) {
+        SCOPED_TRACE(arguments);
+        const CliResult r = run_cli(arguments);
+        EXPECT_EQ(r.exit_code, 2);
+        EXPECT_EQ(r.output.rfind(message + "\nusage:", 0), 0u) << r.output;
+    }
+}
+
 TEST_F(CliTest, SdfredIsaOverrideIsValidatedAtStartup) {
     // A typo'd tier must be a fast bad-invocation failure (exit 2), even on
     // commands that never reach a SIMD kernel — not a silent no-op.

@@ -19,13 +19,13 @@
 namespace sdf {
 namespace {
 
-MpMatrix dense2() {
+MpSparseMatrix dense2() {
     MpMatrix m(2, 2);
     m.set(0, 0, MpValue(3));
     m.set(0, 1, MpValue(4));
     m.set(1, 0, MpValue(5));
     m.set(1, 1, MpValue(6));
-    return m;
+    return MpSparseMatrix::from_dense(m);
 }
 
 TEST(HsdfReduced, DenseMatrixStructure) {
@@ -51,7 +51,7 @@ TEST(HsdfReduced, PeriodEqualsMatrixEigenvalue) {
 TEST(HsdfReduced, SingleEntryMatrixCollapsesToSelfLoop) {
     MpMatrix m(1, 1);
     m.set(0, 0, MpValue(23));
-    const Graph g = reduced_hsdf_from_matrix(m, "single");
+    const Graph g = reduced_hsdf_from_matrix(MpSparseMatrix::from_dense(m), "single");
     EXPECT_EQ(g.actor_count(), 1u);
     EXPECT_EQ(g.channel_count(), 1u);
     EXPECT_TRUE(g.channel(0).is_self_loop());
@@ -66,8 +66,9 @@ TEST(HsdfReduced, ElisionToggleReachesWorstCaseBound) {
     MpMatrix diag(2, 2);
     diag.set(0, 0, MpValue(1));
     diag.set(1, 1, MpValue(2));
-    const Graph elided = reduced_hsdf_from_matrix(diag, "diag");
-    const Graph full = reduced_hsdf_from_matrix(diag, "diag", no_elide);
+    const MpSparseMatrix sparse_diag = MpSparseMatrix::from_dense(diag);
+    const Graph elided = reduced_hsdf_from_matrix(sparse_diag, "diag");
+    const Graph full = reduced_hsdf_from_matrix(sparse_diag, "diag", no_elide);
     EXPECT_EQ(elided.actor_count(), 2u);  // two self-loop cells
     EXPECT_EQ(full.actor_count(), 6u);    // plus per-token mux and demux
     // Same timing either way.
@@ -80,7 +81,7 @@ TEST(HsdfReduced, SparseMatrixSkipsAbsentCells) {
     m.set(0, 1, MpValue(2));
     m.set(1, 2, MpValue(3));
     m.set(2, 0, MpValue(4));
-    const Graph g = reduced_hsdf_from_matrix(m, "ring3");
+    const Graph g = reduced_hsdf_from_matrix(MpSparseMatrix::from_dense(m), "ring3");
     // One cell per finite entry, no muxes/demuxes needed.
     EXPECT_EQ(g.actor_count(), 3u);
     EXPECT_EQ(g.total_initial_tokens(), 3);
@@ -93,7 +94,7 @@ TEST(HsdfReduced, EmptyColumnGetsFreeSource) {
     MpMatrix m(2, 2);
     m.set(0, 1, MpValue(5));
     m.set(1, 1, MpValue(1));
-    const Graph g = reduced_hsdf_from_matrix(m, "free");
+    const Graph g = reduced_hsdf_from_matrix(MpSparseMatrix::from_dense(m), "free");
     ASSERT_TRUE(g.find_actor("src_0").has_value());
     const ThroughputResult t = throughput_symbolic(g);
     ASSERT_TRUE(t.is_finite());
@@ -199,7 +200,8 @@ TEST(HsdfReduced, DeadlockedGraphCachesNoSymbolicIteration) {
 }
 
 TEST(HsdfReduced, RejectsNonSquareMatrix) {
-    EXPECT_THROW(reduced_hsdf_from_matrix(MpMatrix(2, 3), "bad"), InvalidGraphError);
+    EXPECT_THROW(reduced_hsdf_from_matrix(MpSparseMatrix::from_dense(MpMatrix(2, 3)), "bad"),
+                 InvalidGraphError);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // sparse_matrix.hpp.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "base/errors.hpp"
 #include "maxplus/matrix.hpp"
 #include "maxplus/sparse_matrix.hpp"
@@ -94,6 +96,16 @@ TEST(MpMatrix, MultiplyMatchesDefinition) {
     EXPECT_EQ(sq.at(0, 1), MpValue(3));  // max(0+1, 1+2)
     EXPECT_TRUE(sq.at(1, 0).is_minus_infinity());
     EXPECT_EQ(sq.at(1, 1), MpValue(4));
+}
+
+TEST(MpMatrix, MultiplyThrowsOnOverflow) {
+    const Int big = std::numeric_limits<Int>::max() - 1;
+    MpMatrix a(2, 2);
+    a.set(0, 0, MpValue(big));
+    MpMatrix b(2, 2);
+    b.set(0, 0, MpValue(big));
+    EXPECT_THROW((void)a.multiply(b), ArithmeticError);
+    EXPECT_THROW((void)a.multiply(MpMatrix(3, 2)), ArithmeticError);
 }
 
 TEST(MpMatrix, PowerBySquaringMatchesIteratedMultiply) {
@@ -192,6 +204,22 @@ TEST(MpSparseMatrix, PrecedenceGraphMatchesTheDenseOneEdgeForEdge) {
     EXPECT_EQ(sparse.edges(), dense.edges());
     EXPECT_THROW((void)MpSparseMatrix::from_dense(MpMatrix(2, 3)).precedence_graph(),
                  ArithmeticError);
+}
+
+TEST(MpSparseMatrix, MaxWithIsTheEntryWiseMax) {
+    const MpSparseMatrix a = sample_csc();
+    const MpSparseMatrix b({MpStamp::from_entries({{1, 0}, {2, 9}}),
+                            MpStamp::from_entries({{2, 3}}), MpStamp::from_entries({{1, 1}})});
+    MpMatrix expected = a.to_dense();
+    for (std::size_t j = 0; j < 3; ++j) {
+        for (std::size_t k = 0; k < 3; ++k) {
+            expected.set(j, k, mp_max(expected.at(j, k), b.at(j, k)));
+        }
+    }
+    EXPECT_EQ(a.max_with(b), MpSparseMatrix::from_dense(expected));
+    EXPECT_EQ(b.max_with(a), a.max_with(b));
+    EXPECT_EQ(a.max_with(a), a);
+    EXPECT_THROW((void)a.max_with(MpSparseMatrix()), ArithmeticError);
 }
 
 TEST(MpSparseMatrix, RejectsSupportOutsideTheMatrix) {

@@ -1,13 +1,12 @@
 // test_property_perf_kernels — differential tests for the performance
 // kernels against their reference implementations.
 //
-// The sparse symbolic engine (MpStamp FIFOs) and the blocked sparsity-aware
-// matrix product are optimisations, not reformulations: on every input they
-// must produce bit-identical results to the dense engine and the naive
-// triple loop they replaced.  These suites hold that equality over hundreds
-// of random consistent live SDF graphs from src/gen, which is what makes
-// the fast paths safe to keep as the defaults.  The suites also run under
-// ASan/UBSan and TSan in CI.
+// The sparse symbolic engine (MpStamp FIFOs) is an optimisation, not a
+// reformulation: on every input it must produce bit-identical results to
+// the dense engine it replaced.  These suites hold that equality over
+// hundreds of random consistent live SDF graphs from src/gen, which is what
+// makes the fast path safe to keep as the default.  The suites also run
+// under ASan/UBSan and TSan in CI.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -20,8 +19,7 @@
 namespace sdf {
 namespace {
 
-/// Random-graph count per differential suite; together the two sweeps cover
-/// well over 500 graphs.
+/// Random-graph count of the engine sweep.
 constexpr int kRandomGraphs = 300;
 
 RandomSdfOptions varied_options(int round) {
@@ -64,55 +62,6 @@ TEST(PerfKernelsProperty, EnginesAgreeOnStructuredFamilies) {
     }
 }
 
-TEST(PerfKernelsProperty, BlockedMultiplyMatchesNaiveOnIterationMatrices) {
-    std::mt19937 rng(71830);
-    for (int round = 0; round < kRandomGraphs; ++round) {
-        const Graph g = random_sdf(rng, varied_options(round));
-        const MpMatrix m = symbolic_iteration(g).matrix.to_dense();
-        ASSERT_EQ(m.multiply(m), m.multiply_naive(m)) << "round " << round;
-    }
-}
-
-/// A random rectangular matrix with the given finite-entry density — the
-/// multiply kernels must agree on arbitrary matrices, not just the ones the
-/// symbolic execution produces.
-MpMatrix random_matrix(std::mt19937& rng, std::size_t rows, std::size_t cols,
-                       double density) {
-    MpMatrix m(rows, cols);
-    std::bernoulli_distribution finite(density);
-    std::uniform_int_distribution<Int> value(-50, 50);
-    for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-            if (finite(rng)) {
-                m.set(r, c, MpValue(value(rng)));
-            }
-        }
-    }
-    return m;
-}
-
-TEST(PerfKernelsProperty, BlockedMultiplyMatchesNaiveOnRandomMatrices) {
-    std::mt19937 rng(424242);
-    std::uniform_int_distribution<std::size_t> dim(1, 40);
-    std::uniform_real_distribution<double> density(0.0, 1.0);
-    for (int round = 0; round < 200; ++round) {
-        const std::size_t rows = dim(rng);
-        const std::size_t inner = dim(rng);
-        const std::size_t cols = dim(rng);
-        const MpMatrix a = random_matrix(rng, rows, inner, density(rng));
-        const MpMatrix b = random_matrix(rng, inner, cols, density(rng));
-        ASSERT_EQ(a.multiply(b), a.multiply_naive(b)) << "round " << round;
-    }
-}
-
-TEST(PerfKernelsProperty, BlockedMultiplyCrossesColumnBlockBoundary) {
-    // The blocked kernel tiles columns in blocks of 512; a 1030-column
-    // product exercises the partial last block and block seams.
-    const Graph g = fork_join_graph(1024, 5, 4);
-    const MpMatrix m = symbolic_iteration(g).matrix.to_dense();
-    EXPECT_EQ(m.multiply(m), m.multiply_naive(m));
-}
-
 TEST(PerfKernelsProperty, PowerComposesLikeRepeatedMultiplication) {
     std::mt19937 rng(1618);
     for (int round = 0; round < 40; ++round) {
@@ -120,9 +69,8 @@ TEST(PerfKernelsProperty, PowerComposesLikeRepeatedMultiplication) {
         const MpMatrix m = symbolic_iteration(g).matrix.to_dense();
         EXPECT_EQ(m.power(0), MpMatrix::identity(m.rows())) << "round " << round;
         EXPECT_EQ(m.power(1), m) << "round " << round;
-        EXPECT_EQ(m.power(2), m.multiply_naive(m)) << "round " << round;
-        EXPECT_EQ(m.power(5),
-                  m.multiply_naive(m).multiply_naive(m).multiply_naive(m).multiply_naive(m))
+        EXPECT_EQ(m.power(2), m.multiply(m)) << "round " << round;
+        EXPECT_EQ(m.power(5), m.multiply(m).multiply(m).multiply(m).multiply(m))
             << "round " << round;
     }
 }

@@ -1,8 +1,7 @@
-// test_simd_kernels — the SoA/SIMD kernel layer (PERFORMANCE.md):
-// cpudispatch tier selection, the axpy_max primitive per compiled tier, and
-// differential sweeps holding every supported ISA tier bit-identical to
-// multiply_naive on adversarial inputs (−∞-heavy, near-INT64_MAX fallback,
-// empty supports), plus the sentinel-aliasing guard of MpMatrix::set.
+// test_simd_kernels — the SIMD kernel layer (PERFORMANCE.md): cpudispatch
+// tier selection, the axpy_max primitive per compiled tier, Karp's dense-SCC
+// relaxation (the kernels' one caller) on every supported ISA tier, and the
+// sentinel-aliasing guard of MpMatrix::set.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -12,15 +11,12 @@
 #include "base/cpudispatch.hpp"
 #include "base/errors.hpp"
 #include "base/portable_rng.hpp"
-#include "maxplus/closure.hpp"
 #include "maxplus/kernels.hpp"
 #include "maxplus/matrix.hpp"
 #include "maxplus/mcm.hpp"
 
 namespace sdf {
 namespace {
-
-constexpr Int kIntMax = std::numeric_limits<Int>::max();
 
 /// Restores the detected tier when a test that switches tiers exits.
 class IsaTierGuard {
@@ -141,7 +137,18 @@ TEST(AxpyMax, AllMinusInfRowLeavesOutUntouched) {
     }
 }
 
-// ---- differential multiply sweeps --------------------------------------
+TEST(SentinelEncoding, FiniteIntMinIsRejectedBySet) {
+    MpMatrix m(2, 2);
+    EXPECT_THROW(m.set(0, 0, MpValue(std::numeric_limits<Int>::min())),
+                 ArithmeticError);
+    // −∞ itself round-trips through the sentinel.
+    m.set(0, 1, MpValue::minus_infinity());
+    EXPECT_FALSE(m.at(0, 1).is_finite());
+    m.set(1, 1, MpValue(std::numeric_limits<Int>::min() + 1));
+    EXPECT_EQ(m.at(1, 1).value(), std::numeric_limits<Int>::min() + 1);
+}
+
+// ---- downstream algorithms per tier ------------------------------------
 
 MpMatrix random_matrix(std::mt19937& rng, std::size_t rows, std::size_t cols,
                        double density, Int lo, Int hi) {
@@ -154,132 +161,6 @@ MpMatrix random_matrix(std::mt19937& rng, std::size_t rows, std::size_t cols,
         }
     }
     return m;
-}
-
-void expect_all_products_agree(const MpMatrix& a, const MpMatrix& b,
-                               const char* label) {
-    const IsaTierGuard guard;
-    const MpMatrix expected = a.multiply_naive(b);
-    EXPECT_EQ(a.multiply_checked(b), expected) << label << " (checked)";
-    for (const IsaTier tier : supported_isa_tiers()) {
-        set_active_isa_tier(tier);
-        EXPECT_EQ(a.multiply(b), expected) << label << " isa=" << isa_tier_name(tier);
-    }
-}
-
-TEST(SimdMultiply, DenseMatricesAgreeOnEveryTier) {
-    std::mt19937 rng(1);
-    // 37 is deliberately not a multiple of any lane width.
-    const MpMatrix a = random_matrix(rng, 37, 41, 0.9, -5000, 5000);
-    const MpMatrix b = random_matrix(rng, 41, 29, 0.9, -5000, 5000);
-    expect_all_products_agree(a, b, "dense rectangular");
-}
-
-TEST(SimdMultiply, MinusInfHeavyMatricesAgreeOnEveryTier) {
-    std::mt19937 rng(2);
-    const MpMatrix a = random_matrix(rng, 33, 33, 0.05, -100, 100);
-    const MpMatrix b = random_matrix(rng, 33, 33, 0.05, -100, 100);
-    expect_all_products_agree(a, b, "minus-inf heavy");
-    // And the mixed case: a dense operand against a nearly-empty one, which
-    // routes some B rows through the SIMD lane kernel and some through CSR.
-    const MpMatrix c = random_matrix(rng, 33, 33, 0.95, -100, 100);
-    expect_all_products_agree(c, b, "dense times sparse");
-    expect_all_products_agree(b, c, "sparse times dense");
-}
-
-TEST(SimdMultiply, EmptySupportRowsAndColumnsAgree) {
-    std::mt19937 rng(3);
-    MpMatrix a = random_matrix(rng, 20, 20, 0.8, -50, 50);
-    MpMatrix b = random_matrix(rng, 20, 20, 0.8, -50, 50);
-    for (std::size_t j = 0; j < 20; ++j) {
-        // Row 7 of A and row 12 of B entirely −∞ (set() with −∞ writes the
-        // sentinel); every product entry they feed must stay −∞-consistent.
-        a.set(7, j, MpValue::minus_infinity());
-        b.set(12, j, MpValue::minus_infinity());
-    }
-    expect_all_products_agree(a, b, "empty-support rows");
-    const MpMatrix zero(16, 16);  // all −∞
-    expect_all_products_agree(zero, zero, "all minus-inf");
-}
-
-TEST(SimdMultiply, NearIntMaxMagnitudesTakeCheckedPathAndAgree) {
-    // Magnitudes big enough to fail the safe bound but not to overflow:
-    // multiply must silently fall back to the checked kernel and still equal
-    // the naive reference.
-    const Int big = kIntMax / 2 - 10;
-    MpMatrix a(9, 9);
-    MpMatrix b(9, 9);
-    for (std::size_t i = 0; i < 9; ++i) {
-        a.set(i, i, MpValue(big));
-        b.set(i, (i + 1) % 9, MpValue(-big + 1000));
-        b.set(i, i, MpValue(1));
-    }
-    expect_all_products_agree(a, b, "near-INT64_MAX fallback");
-}
-
-TEST(SimdMultiply, GenuineOverflowThrowsLikeNaive) {
-    const IsaTierGuard guard;
-    MpMatrix a(2, 2);
-    a.set(0, 0, MpValue(kIntMax - 1));
-    MpMatrix b(2, 2);
-    b.set(0, 0, MpValue(kIntMax - 1));
-    EXPECT_THROW(a.multiply_naive(b), ArithmeticError);
-    EXPECT_THROW(a.multiply_checked(b), ArithmeticError);
-    for (const IsaTier tier : supported_isa_tiers()) {
-        set_active_isa_tier(tier);
-        EXPECT_THROW(a.multiply(b), ArithmeticError) << isa_tier_name(tier);
-    }
-}
-
-TEST(SimdMultiply, PowerLaddersAgreeOnEveryTier) {
-    const IsaTierGuard guard;
-    std::mt19937 rng(4);
-    const MpMatrix g = random_matrix(rng, 24, 24, 0.3, -20, 20);
-    set_active_isa_tier(IsaTier::scalar);
-    const MpMatrix expected = g.power(13);
-    for (const IsaTier tier : supported_isa_tiers()) {
-        set_active_isa_tier(tier);
-        EXPECT_EQ(g.power(13), expected) << isa_tier_name(tier);
-    }
-}
-
-TEST(SentinelEncoding, FiniteIntMinIsRejectedBySet) {
-    MpMatrix m(2, 2);
-    EXPECT_THROW(m.set(0, 0, MpValue(std::numeric_limits<Int>::min())),
-                 ArithmeticError);
-    // −∞ itself round-trips through the sentinel.
-    m.set(0, 1, MpValue::minus_infinity());
-    EXPECT_FALSE(m.at(0, 1).is_finite());
-    m.set(1, 1, MpValue(std::numeric_limits<Int>::min() + 1));
-    EXPECT_EQ(m.at(1, 1).value(), std::numeric_limits<Int>::min() + 1);
-}
-
-TEST(SentinelEncoding, MaxAbsFiniteIgnoresSentinelLanes) {
-    MpMatrix m(2, 3);
-    EXPECT_EQ(m.max_abs_finite(), 0u);
-    m.set(0, 0, MpValue(-7));
-    m.set(1, 2, MpValue(5));
-    EXPECT_EQ(m.max_abs_finite(), 7u);
-    EXPECT_EQ(m.finite_entry_count(), 2u);
-}
-
-// ---- downstream algorithms per tier ------------------------------------
-
-TEST(SimdSweep, ClosureAgreesAcrossTiers) {
-    const IsaTierGuard guard;
-    std::mt19937 rng(5);
-    // Non-positive weights guarantee the closure exists; dense enough that
-    // the Floyd fast path really runs the kernel.
-    const MpMatrix m = random_matrix(rng, 21, 21, 0.7, -40, 0);
-    set_active_isa_tier(IsaTier::scalar);
-    const auto expected = mp_closure(m);
-    ASSERT_TRUE(expected.has_value());
-    for (const IsaTier tier : supported_isa_tiers()) {
-        set_active_isa_tier(tier);
-        const auto actual = mp_closure(m);
-        ASSERT_TRUE(actual.has_value()) << isa_tier_name(tier);
-        EXPECT_EQ(*actual, *expected) << isa_tier_name(tier);
-    }
 }
 
 TEST(SimdSweep, KarpAgreesAcrossTiersOnDenseGraph) {

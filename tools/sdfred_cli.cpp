@@ -972,8 +972,8 @@ int usage() {
 
 /// Parses the arguments after the command name into `inv` and returns 0, or
 /// prints usage and returns 2 for a bad invocation: a flag the command does
-/// not take, a bad value, or the wrong number of positionals.  A token that
-/// is no flag, or a value flag with nothing after it, is a positional.
+/// not take, a value flag with nothing after it, a bad value, or the wrong
+/// number of positionals.  A token that is no flag is a positional.
 int parse(const Command& command, const std::vector<std::string>& args, Invocation& inv) {
     for (std::size_t i = 1; i < args.size(); ++i) {
         const std::string& token = args[i];
@@ -982,15 +982,18 @@ int parse(const Command& command, const std::vector<std::string>& args, Invocati
                    (row.joined && starts_with(token, std::string(row.spelling) + "="));
         };
         const Flag* flag = std::find_if(std::begin(kFlags), std::end(kFlags), named);
-        const bool joined = flag != std::end(kFlags) && token != flag->spelling;
-        if (flag == std::end(kFlags) ||
-            (flag->set != nullptr && !joined && i + 1 == args.size())) {
+        if (flag == std::end(kFlags)) {
             inv.positional.push_back(token);
             continue;
         }
         if ((command.groups & flag->group) == 0) {
             std::cerr << "error: " << command.name << " does not take " << flag->spelling
                       << "\n";
+            return usage();
+        }
+        const bool joined = token != flag->spelling;
+        if (flag->set != nullptr && !joined && i + 1 == args.size()) {
+            std::cerr << "error: " << flag->spelling << " needs a value\n";
             return usage();
         }
         inv.governed = inv.governed || (flag->group & (kBudget | kDegrade)) != 0;
