@@ -8,6 +8,12 @@
 // engine's O(N): on the largest bundled model the report carries both
 // engines' wall-time stats and the resulting speedup.
 //
+// It also records the text I/O of the reduced HSDF (the Figure-4 graph a
+// user reads and writes): the median write_text_string and
+// read_text_string time on each Table 1 model and on fork_join(256, 3) and
+// fork_join(1024, 3), the models of the cold path's largest and smallest
+// width.
+//
 // Flags (see docs/PERFORMANCE.md):
 //   --json FILE   write BENCH_conversion_runtime.json-style report and skip
 //                 the google-benchmark run
@@ -25,6 +31,7 @@
 #include "base/thread_pool.hpp"
 #include "gen/benchmarks.hpp"
 #include "gen/structured.hpp"
+#include "io/text.hpp"
 #include "sdf/repetition.hpp"
 #include "transform/hsdf_classic.hpp"
 #include "transform/hsdf_reduced.hpp"
@@ -94,6 +101,65 @@ ModelReport measure_model(const BenchmarkCase& bench, int reps) {
     return r;
 }
 
+/// Text render and parse of one model's reduced HSDF.
+struct TextIoReport {
+    std::string name;
+    std::size_t actors = 0;
+    std::size_t channels = 0;
+    std::size_t bytes = 0;
+    sdfbench::Stats render;  // write_text_string
+    sdfbench::Stats parse;   // read_text_string
+};
+
+std::vector<BenchmarkCase> text_io_models() {
+    std::vector<BenchmarkCase> cases = table1_benchmarks();
+    cases.push_back(BenchmarkCase{"fork_join(256, 3)", fork_join_graph(256, 3)});
+    cases.push_back(BenchmarkCase{"fork_join(1024, 3)", fork_join_graph(1024, 3)});
+    return cases;
+}
+
+TextIoReport measure_text_io(const BenchmarkCase& bench, int reps) {
+    const Graph reduced = to_hsdf_reduced(bench.graph);
+    const std::string text = write_text_string(reduced);
+    TextIoReport r;
+    r.name = bench.label;
+    r.actors = reduced.actor_count();
+    r.channels = reduced.channel_count();
+    r.bytes = text.size();
+    r.render = sdfbench::measure_ms(reps, [&] {
+        benchmark::DoNotOptimize(write_text_string(reduced));
+    });
+    r.parse = sdfbench::measure_ms(reps, [&] {
+        benchmark::DoNotOptimize(read_text_string(text));
+    });
+    return r;
+}
+
+void print_text_io(const std::vector<TextIoReport>& reports) {
+    std::printf("Text I/O of the reduced HSDF (medians)\n");
+    std::printf("%-22s %8s %9s %10s %12s %12s\n", "test case", "actors", "channels",
+                "bytes", "render", "parse");
+    for (const TextIoReport& r : reports) {
+        std::printf("%-22s %8zu %9zu %10zu %10.3fms %10.3fms\n", r.name.c_str(), r.actors,
+                    r.channels, r.bytes, r.render.median_ms, r.parse.median_ms);
+    }
+    std::printf("\n");
+}
+
+std::string text_io_json(const TextIoReport& r) {
+    std::string out = "    {\n";
+    out += "      \"name\": \"" + sdfbench::json_escape(r.name) + "\",\n";
+    out += "      \"reduced_actors\": " + std::to_string(r.actors) + ",\n";
+    out += "      \"reduced_channels\": " + std::to_string(r.channels) + ",\n";
+    out += "      \"text_bytes\": " + std::to_string(r.bytes) + ",\n";
+    out += "      \"render_median_ms\": " + sdfbench::json_num(r.render.median_ms) + ",\n";
+    out += "      \"parse_median_ms\": " + sdfbench::json_num(r.parse.median_ms) + ",\n";
+    out += "      \"render\": " + sdfbench::stats_json(r.render) + ",\n";
+    out += "      \"parse\": " + sdfbench::stats_json(r.parse) + "\n";
+    out += "    }";
+    return out;
+}
+
 void print_report(const std::vector<ModelReport>& reports) {
     std::printf("Section 7 run-time claim: conversions take a few milliseconds\n");
     std::printf("(medians over repeated runs; dense = serial baseline engine)\n");
@@ -140,7 +206,7 @@ std::string model_json(const ModelReport& r) {
 }
 
 void write_json(const std::string& path, const std::vector<ModelReport>& reports,
-                int reps) {
+                const std::vector<TextIoReport>& text_io, int reps) {
     const ModelReport& largest = largest_model(reports);
     std::ofstream out(path);
     out << "{\n";
@@ -151,6 +217,11 @@ void write_json(const std::string& path, const std::vector<ModelReport>& reports
     out << "  \"models\": [\n";
     for (std::size_t i = 0; i < reports.size(); ++i) {
         out << model_json(reports[i]) << (i + 1 < reports.size() ? ",\n" : "\n");
+    }
+    out << "  ],\n";
+    out << "  \"text_io\": [\n";
+    for (std::size_t i = 0; i < text_io.size(); ++i) {
+        out << text_io_json(text_io[i]) << (i + 1 < text_io.size() ? ",\n" : "\n");
     }
     out << "  ],\n";
     out << "  \"largest_model\": {\n";
@@ -201,9 +272,14 @@ int main(int argc, char** argv) {
         reports.push_back(measure_model(bench, reps));
     }
     print_report(reports);
+    std::vector<TextIoReport> text_io;
+    for (const BenchmarkCase& bench : text_io_models()) {
+        text_io.push_back(measure_text_io(bench, reps));
+    }
+    print_text_io(text_io);
 
     if (!json_path.empty()) {
-        write_json(json_path, reports, reps);
+        write_json(json_path, reports, text_io, reps);
         return 0;
     }
     benchmark::Initialize(&argc, argv);

@@ -7,10 +7,6 @@ namespace sdf {
 
 namespace {
 
-bool is_space(char c) {
-    return std::isspace(static_cast<unsigned char>(c)) != 0;
-}
-
 bool is_digit(char c) {
     return std::isdigit(static_cast<unsigned char>(c)) != 0;
 }
@@ -41,24 +37,6 @@ std::vector<std::string> split(std::string_view text, char separator) {
         fields.emplace_back(text.substr(start, pos - start));
         start = pos + 1;
     }
-}
-
-std::vector<std::string> split_whitespace(std::string_view text) {
-    std::vector<std::string> fields;
-    std::size_t i = 0;
-    while (i < text.size()) {
-        while (i < text.size() && is_space(text[i])) {
-            ++i;
-        }
-        const std::size_t start = i;
-        while (i < text.size() && !is_space(text[i])) {
-            ++i;
-        }
-        if (i > start) {
-            fields.emplace_back(text.substr(start, i - start));
-        }
-    }
-    return fields;
 }
 
 std::optional<Int> parse_int(std::string_view text) {

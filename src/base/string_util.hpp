@@ -2,6 +2,7 @@
 // name-based abstraction heuristics.
 #pragma once
 
+#include <charconv>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -17,8 +18,20 @@ std::string_view trim(std::string_view text);
 /// Splits `text` on `separator`, keeping empty fields.
 std::vector<std::string> split(std::string_view text, char separator);
 
-/// Splits `text` on runs of ASCII whitespace, dropping empty fields.
-std::vector<std::string> split_whitespace(std::string_view text);
+/// True for the bytes std::isspace accepts in the C locale, the locale the
+/// program runs in; inline, so a scanner pays no call per byte.
+inline bool is_space(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/// Appends the decimal digits of an integer to `out`, as operator<< writes
+/// them in the C locale, without a stream or a temporary string.
+template <typename Integer>
+void append_decimal(std::string& out, Integer value) {
+    char digits[24];
+    const auto written = std::to_chars(digits, digits + sizeof digits, value);
+    out.append(digits, written.ptr);
+}
 
 /// Parses a decimal integer; std::nullopt when `text` is not exactly one
 /// well-formed int64.

@@ -117,55 +117,97 @@ Graph read_xml_file(const std::string& path, SourceMap* locations) {
 }
 
 std::string write_xml_string(const Graph& graph) {
-    std::ostringstream out;
+    const std::vector<Actor>& actors = graph.actors();
+    const std::vector<Channel>& channels = graph.channels();
+    // One output port per outgoing channel, one input port per incoming, in
+    // channel order: actor a's ports are port[port_begin[a] .. port_begin[a+1]),
+    // each 2c for out-port c or 2c+1 for in-port c.  One pass over the
+    // channels fills every actor's list.
+    std::vector<std::size_t> port_begin(actors.size() + 1, 0);
+    for (const Channel& ch : channels) {
+        ++port_begin[ch.src + 1];
+        ++port_begin[ch.dst + 1];
+    }
+    for (std::size_t a = 0; a < actors.size(); ++a) {
+        port_begin[a + 1] += port_begin[a];
+    }
+    std::vector<std::size_t> port(2 * channels.size());
+    std::vector<std::size_t> next(port_begin.begin(), port_begin.end() - 1);
+    for (ChannelId c = 0; c < channels.size(); ++c) {
+        port[next[channels[c].src]++] = 2 * c;
+        port[next[channels[c].dst]++] = 2 * c + 1;
+    }
+
+    std::string out;
+    const auto quoted = [&out](std::string_view text) {
+        out += '"';
+        append_xml_escaped(out, text);
+        out += '"';
+    };
     const std::string name = graph.name().empty() ? "graph" : graph.name();
-    out << "<?xml version=\"1.0\"?>\n";
-    out << "<sdf3 type=\"sdf\" version=\"1.0\">\n";
-    out << "  <applicationGraph name=\"" << xml_escape(name) << "\">\n";
-    out << "    <sdf name=\"" << xml_escape(name) << "\" type=\"" << xml_escape(name)
-        << "\">\n";
-    // One output port per outgoing channel, one input port per incoming.
-    for (ActorId a = 0; a < graph.actor_count(); ++a) {
-        const Actor& actor = graph.actor(a);
-        out << "      <actor name=\"" << xml_escape(actor.name) << "\" type=\""
-            << xml_escape(actor.name) << "\">\n";
-        for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-            const Channel& ch = graph.channel(c);
-            if (ch.src == a) {
-                out << "        <port name=\"out" << c << "\" type=\"out\" rate=\""
-                    << ch.production << "\"/>\n";
-            }
-            if (ch.dst == a) {
-                out << "        <port name=\"in" << c << "\" type=\"in\" rate=\""
-                    << ch.consumption << "\"/>\n";
-            }
+    out += "<?xml version=\"1.0\"?>\n";
+    out += "<sdf3 type=\"sdf\" version=\"1.0\">\n";
+    out += "  <applicationGraph name=";
+    quoted(name);
+    out += ">\n    <sdf name=";
+    quoted(name);
+    out += " type=";
+    quoted(name);
+    out += ">\n";
+    for (ActorId a = 0; a < actors.size(); ++a) {
+        out += "      <actor name=";
+        quoted(actors[a].name);
+        out += " type=";
+        quoted(actors[a].name);
+        out += ">\n";
+        for (std::size_t p = port_begin[a]; p < port_begin[a + 1]; ++p) {
+            const ChannelId c = port[p] / 2;
+            const bool is_out = port[p] % 2 == 0;
+            out += is_out ? "        <port name=\"out" : "        <port name=\"in";
+            append_decimal(out, c);
+            out += is_out ? "\" type=\"out\" rate=\"" : "\" type=\"in\" rate=\"";
+            append_decimal(out, is_out ? channels[c].production : channels[c].consumption);
+            out += "\"/>\n";
         }
-        out << "      </actor>\n";
+        out += "      </actor>\n";
     }
-    for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-        const Channel& ch = graph.channel(c);
-        out << "      <channel name=\"ch" << c << "\" srcActor=\""
-            << xml_escape(graph.actor(ch.src).name) << "\" srcPort=\"out" << c
-            << "\" dstActor=\"" << xml_escape(graph.actor(ch.dst).name)
-            << "\" dstPort=\"in" << c << "\"";
+    for (ChannelId c = 0; c < channels.size(); ++c) {
+        const Channel& ch = channels[c];
+        out += "      <channel name=\"ch";
+        append_decimal(out, c);
+        out += "\" srcActor=";
+        quoted(actors[ch.src].name);
+        out += " srcPort=\"out";
+        append_decimal(out, c);
+        out += "\" dstActor=";
+        quoted(actors[ch.dst].name);
+        out += " dstPort=\"in";
+        append_decimal(out, c);
+        out += '"';
         if (ch.initial_tokens > 0) {
-            out << " initialTokens=\"" << ch.initial_tokens << "\"";
+            out += " initialTokens=\"";
+            append_decimal(out, ch.initial_tokens);
+            out += '"';
         }
-        out << "/>\n";
+        out += "/>\n";
     }
-    out << "    </sdf>\n";
-    out << "    <sdfProperties>\n";
-    for (const Actor& actor : graph.actors()) {
-        out << "      <actorProperties actor=\"" << xml_escape(actor.name) << "\">\n";
-        out << "        <processor type=\"proc_0\" default=\"true\">\n";
-        out << "          <executionTime time=\"" << actor.execution_time << "\"/>\n";
-        out << "        </processor>\n";
-        out << "      </actorProperties>\n";
+    out += "    </sdf>\n";
+    out += "    <sdfProperties>\n";
+    for (const Actor& actor : actors) {
+        out += "      <actorProperties actor=";
+        quoted(actor.name);
+        out += ">\n";
+        out += "        <processor type=\"proc_0\" default=\"true\">\n";
+        out += "          <executionTime time=\"";
+        append_decimal(out, actor.execution_time);
+        out += "\"/>\n";
+        out += "        </processor>\n";
+        out += "      </actorProperties>\n";
     }
-    out << "    </sdfProperties>\n";
-    out << "  </applicationGraph>\n";
-    out << "</sdf3>\n";
-    return out.str();
+    out += "    </sdfProperties>\n";
+    out += "  </applicationGraph>\n";
+    out += "</sdf3>\n";
+    return out;
 }
 
 void write_xml_file(const std::string& path, const Graph& graph) {

@@ -273,6 +273,11 @@ XmlNode parse_xml(const std::string& text) {
 std::string xml_escape(const std::string& text) {
     std::string out;
     out.reserve(text.size());
+    append_xml_escaped(out, text);
+    return out;
+}
+
+void append_xml_escaped(std::string& out, std::string_view text) {
     for (const char c : text) {
         switch (c) {
             case '&': out += "&amp;"; break;
@@ -283,7 +288,6 @@ std::string xml_escape(const std::string& text) {
             default: out += c;
         }
     }
-    return out;
 }
 
 }  // namespace sdf

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sdf {
@@ -44,5 +45,8 @@ XmlNode parse_xml(const std::string& text);
 
 /// Escapes &, <, >, " and ' for attribute values.
 std::string xml_escape(const std::string& text);
+
+/// Appends xml_escape(text) to `out` without a temporary.
+void append_xml_escaped(std::string& out, std::string_view text);
 
 }  // namespace sdf

@@ -48,14 +48,6 @@ void MpMatrix::set_column(std::size_t col, const MpVector& stamp) {
     }
 }
 
-MpVector MpMatrix::column(std::size_t col) const {
-    MpVector stamp(rows_);
-    for (std::size_t row = 0; row < rows_; ++row) {
-        stamp[row] = at(row, col);
-    }
-    return stamp;
-}
-
 std::size_t MpMatrix::finite_entry_count() const {
     std::size_t count = 0;
     for (const Int v : entries_) {
@@ -64,13 +56,6 @@ std::size_t MpMatrix::finite_entry_count() const {
         }
     }
     return count;
-}
-
-double MpMatrix::density() const {
-    if (entries_.empty()) {
-        return 0.0;
-    }
-    return static_cast<double>(finite_entry_count()) / static_cast<double>(entries_.size());
 }
 
 MpMatrix MpMatrix::multiply(const MpMatrix& other) const {

@@ -61,14 +61,8 @@ public:
     /// col-th new token).
     void set_column(std::size_t col, const MpVector& stamp);
 
-    /// Extracts column `col` as a vector.
-    [[nodiscard]] MpVector column(std::size_t col) const;
-
     /// Number of finite entries.
     [[nodiscard]] std::size_t finite_entry_count() const;
-
-    /// Fraction of entries that are finite (0 for an empty matrix).
-    [[nodiscard]] double density() const;
 
     /// Max-plus matrix product (A ⊗ B)(i,k) = max_j A(i,j) + B(j,k);
     /// composing two iterations of the graph.  The O(rows·cols·cols)

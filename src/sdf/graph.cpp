@@ -20,25 +20,36 @@ void Graph::drop_analyses() {
     // A copy may still share the manager, and its results belong to the old
     // structure: leave them to the copy.  An unshared, empty manager already
     // is what a fresh one would be, so the parser and the conversions fill a
-    // graph without allocating one manager per element.  Runs before the
-    // change, so a failed allocation leaves the graph unchanged.
+    // graph without allocating one manager per element.  A failed
+    // allocation leaves the manager in place: add_channel and set_rates run
+    // this before their change, add_actor undoes its change.
     if (analyses_.use_count() != 1 || !analyses_->empty()) {
         analyses_ = std::make_shared<AnalysisManager>();
     }
 }
 
-ActorId Graph::add_actor(const std::string& name, Int execution_time) {
+ActorId Graph::add_actor(std::string name, Int execution_time) {
     require(!name.empty(), "actor name must be non-empty");
     if (execution_time < 0) {
         throw InvalidGraphError("actor '" + name + "' has negative execution time");
     }
-    if (actor_by_name_.find(name) != actor_by_name_.end()) {
+    // The insertion is the duplicate check, so the name is hashed once.
+    // Each later step that can throw undoes the ones before it.
+    const ActorId id = actors_.size();
+    const auto [slot, inserted] = actor_by_name_.try_emplace(name, id);
+    if (!inserted) {
         throw InvalidGraphError("duplicate actor name '" + name + "'");
     }
-    drop_analyses();
-    const ActorId id = actors_.size();
-    actors_.push_back(Actor{name, execution_time});
-    actor_by_name_.emplace(name, id);
+    try {
+        actors_.push_back(Actor{std::move(name), execution_time});
+        drop_analyses();
+    } catch (...) {
+        if (actors_.size() > id) {
+            actors_.pop_back();
+        }
+        actor_by_name_.erase(slot);
+        throw;
+    }
     return id;
 }
 
@@ -52,6 +63,12 @@ ChannelId Graph::add_channel(ActorId src, ActorId dst, Int production, Int consu
     const ChannelId id = channels_.size();
     channels_.push_back(Channel{src, dst, production, consumption, initial_tokens});
     return id;
+}
+
+void Graph::reserve(std::size_t actors, std::size_t channels) {
+    actors_.reserve(actors);
+    actor_by_name_.reserve(actors);
+    channels_.reserve(channels);
 }
 
 bool Graph::set_execution_time(ActorId id, Int execution_time) {
@@ -100,7 +117,7 @@ bool Graph::set_rates(ChannelId id, Int production, Int consumption) {
     return true;
 }
 
-std::optional<ActorId> Graph::find_actor(const std::string& name) const {
+std::optional<ActorId> Graph::find_actor(std::string_view name) const {
     const auto it = actor_by_name_.find(name);
     if (it == actor_by_name_.end()) {
         return std::nullopt;

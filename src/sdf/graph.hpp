@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -55,7 +56,9 @@ public:
     /// Adds an actor; the name must be unique and non-empty, the execution
     /// time non-negative.  Returns its id.  Like add_channel, this is a
     /// structural change: no cached result survives it (see analyses()).
-    ActorId add_actor(const std::string& name, Int execution_time = 0);
+    /// The name is hashed once; when the call throws (a duplicate name, an
+    /// invalid time, a failed allocation) the graph is left as it was.
+    ActorId add_actor(std::string name, Int execution_time = 0);
 
     /// Adds a channel (src, dst, p, c, d); rates must be positive and the
     /// delay non-negative.  Returns its id.
@@ -66,6 +69,10 @@ public:
     ChannelId add_channel(ActorId src, ActorId dst, Int initial_tokens = 0) {
         return add_channel(src, dst, 1, 1, initial_tokens);
     }
+
+    /// Makes room for this many actors and channels in total, so a builder
+    /// that knows the final size grows each array and the name index once.
+    void reserve(std::size_t actors, std::size_t channels);
 
     [[nodiscard]] std::size_t actor_count() const { return actors_.size(); }
     [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
@@ -90,8 +97,9 @@ public:
     /// no-op edit keeps the cache whole.
     bool set_rates(ChannelId id, Int production, Int consumption);
 
-    /// Id of the actor with this exact name, if any.
-    [[nodiscard]] std::optional<ActorId> find_actor(const std::string& name) const;
+    /// Id of the actor with this exact name, if any.  The lookup builds no
+    /// std::string, so a parser can look up a field of its input in place.
+    [[nodiscard]] std::optional<ActorId> find_actor(std::string_view name) const;
 
     /// Channel ids entering / leaving an actor, in channel-id order.
     [[nodiscard]] std::vector<ChannelId> in_channels(ActorId id) const;
@@ -129,10 +137,19 @@ private:
     /// manager is its own and holds no result.
     void drop_analyses();
 
+    /// Hashes std::string keys and std::string_view probes alike, so that
+    /// find_actor looks a view up without copying it (is_transparent).
+    struct NameHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view name) const noexcept {
+            return std::hash<std::string_view>{}(name);
+        }
+    };
+
     std::string name_;
     std::vector<Actor> actors_;
     std::vector<Channel> channels_;
-    std::unordered_map<std::string, ActorId> actor_by_name_;
+    std::unordered_map<std::string, ActorId, NameHash, std::equal_to<>> actor_by_name_;
     std::shared_ptr<AnalysisManager> analyses_ = std::make_shared<AnalysisManager>();
 };
 

@@ -3,9 +3,29 @@
 #include <vector>
 
 #include "base/errors.hpp"
+#include "base/string_util.hpp"
 #include "transform/symbolic.hpp"
 
 namespace sdf {
+
+namespace {
+
+/// "prefix" + i (+ "_" + k), built in place: the labels fit the string's
+/// inline buffer, so a label costs no allocation.
+std::string label(const char* prefix, std::size_t i) {
+    std::string out(prefix);
+    append_decimal(out, i);
+    return out;
+}
+
+std::string label(const char* prefix, std::size_t i, std::size_t k) {
+    std::string out = label(prefix, i);
+    out += '_';
+    append_decimal(out, k);
+    return out;
+}
+
+}  // namespace
 
 Graph reduced_hsdf_from_matrix(const MpSparseMatrix& matrix, const std::string& name,
                                const ReducedHsdfOptions& options) {
@@ -20,16 +40,20 @@ Graph reduced_hsdf_from_matrix(const MpSparseMatrix& matrix, const std::string& 
     const auto row_size = [&](std::size_t j) { return rows.row_ptr[j + 1] - rows.row_ptr[j]; };
     const auto col_size = [&](std::size_t k) { return col_ptr[k + 1] - col_ptr[k]; };
     Graph graph(name);
+    // At most: one actor per entry, plus a demux and a mux or src per index;
+    // a demux and a mux channel per entry, plus a src self-loop and a token
+    // channel per index.
+    const std::size_t nnz = matrix.finite_entry_count();
+    graph.reserve(nnz + 2 * n, 2 * nnz + 2 * n);
 
     constexpr ActorId kNone = static_cast<ActorId>(-1);
 
     // Matrix actors, row-major; cell[e] is the actor of CSC entry e.
-    std::vector<ActorId> cell(matrix.finite_entry_count(), kNone);
+    std::vector<ActorId> cell(nnz, kNone);
     for (std::size_t j = 0; j < n; ++j) {
         for (std::size_t i = rows.row_ptr[j]; i < rows.row_ptr[j + 1]; ++i) {
             const std::size_t e = rows.entry[i];
-            cell[e] = graph.add_actor(
-                "g_" + std::to_string(j) + "_" + std::to_string(rows.col[i]), value[e]);
+            cell[e] = graph.add_actor(label("g_", j, rows.col[i]), value[e]);
         }
     }
 
@@ -40,7 +64,7 @@ Graph reduced_hsdf_from_matrix(const MpSparseMatrix& matrix, const std::string& 
         const bool needed =
             options.elide_single_client_muxes ? row_size(j) > 1 : row_size(j) > 0;
         if (needed) {
-            demux[j] = graph.add_actor("dmx_" + std::to_string(j), 0);
+            demux[j] = graph.add_actor(label("dmx_", j), 0);
             for (std::size_t i = rows.row_ptr[j]; i < rows.row_ptr[j + 1]; ++i) {
                 graph.add_channel(demux[j], cell[rows.entry[i]], 0);
             }
@@ -54,7 +78,7 @@ Graph reduced_hsdf_from_matrix(const MpSparseMatrix& matrix, const std::string& 
         const bool needed =
             options.elide_single_client_muxes ? col_size(k) > 1 : col_size(k) > 0;
         if (needed) {
-            producer[k] = graph.add_actor("mux_" + std::to_string(k), 0);
+            producer[k] = graph.add_actor(label("mux_", k), 0);
             for (std::size_t e = col_ptr[k]; e < col_ptr[k + 1]; ++e) {
                 graph.add_channel(cell[e], producer[k], 0);
             }
@@ -65,7 +89,7 @@ Graph reduced_hsdf_from_matrix(const MpSparseMatrix& matrix, const std::string& 
             // and is available immediately each iteration.  A zero-time
             // actor recycling its own token models the unconstrained source
             // (only required when somebody consumes token k).
-            producer[k] = graph.add_actor("src_" + std::to_string(k), 0);
+            producer[k] = graph.add_actor(label("src_", k), 0);
             graph.add_channel(producer[k], producer[k], 1);
         }
     }

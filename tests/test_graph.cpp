@@ -2,6 +2,8 @@
 #include "sdf/graph.hpp"
 
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -59,6 +61,63 @@ TEST(Graph, FindActorByName) {
     const ActorId a = g.add_actor("alpha");
     EXPECT_EQ(g.find_actor("alpha"), a);
     EXPECT_FALSE(g.find_actor("beta").has_value());
+}
+
+TEST(Graph, FindActorLooksUpAViewInPlace) {
+    Graph g;
+    const ActorId a = g.add_actor("alpha");
+    const ActorId b = g.add_actor("alphabet");
+    const std::string_view text = "alphabet soup";
+    EXPECT_EQ(g.find_actor(text.substr(0, 5)), a);
+    EXPECT_EQ(g.find_actor(text.substr(0, 8)), b);
+    EXPECT_FALSE(g.find_actor(text.substr(0, 6)).has_value());
+    EXPECT_FALSE(g.find_actor(text.substr(9)).has_value());
+    EXPECT_FALSE(g.find_actor(std::string_view()).has_value());
+}
+
+TEST(Graph, FailedAddActorLeavesTheGraphUnchanged) {
+    Graph g;
+    const ActorId a = g.add_actor("a", 1);
+    const ActorId b = g.add_actor("b", 2);
+    g.add_channel(a, b, 1, 2, 0);
+    g.add_channel(b, a, 2, 1, 2);
+    const std::vector<Int> reps = repetition_vector(g);
+    const std::shared_ptr<AnalysisManager> manager = g.analyses();
+    ASSERT_TRUE(manager->is_cached<RepetitionVectorAnalysis>());
+
+    EXPECT_THROW(g.add_actor("a", 5), InvalidGraphError);   // duplicate name
+    EXPECT_THROW(g.add_actor("b"), InvalidGraphError);      // duplicate name
+    EXPECT_THROW(g.add_actor("", 1), InvalidGraphError);    // empty name
+    EXPECT_THROW(g.add_actor("c", -1), InvalidGraphError);  // negative time
+    EXPECT_EQ(g.actor_count(), 2u);
+    EXPECT_EQ(g.channel_count(), 2u);
+    EXPECT_EQ(g.find_actor("a"), a);
+    EXPECT_EQ(g.find_actor("b"), b);
+    EXPECT_FALSE(g.find_actor("c").has_value());
+    EXPECT_EQ(g.actor(a).execution_time, 1);
+    EXPECT_EQ(g.analyses(), manager);
+    EXPECT_TRUE(manager->is_cached<RepetitionVectorAnalysis>());
+    EXPECT_EQ(*manager->cached<RepetitionVectorAnalysis>(), reps);
+
+    // The rejected name stays free for the next add.
+    const ActorId c = g.add_actor("c", 3);
+    EXPECT_EQ(c, 2u);
+    EXPECT_EQ(g.find_actor("c"), c);
+    EXPECT_EQ(g.actor(c).name, "c");
+}
+
+TEST(Graph, ReserveKeepsTheGraphAsItIs) {
+    Graph g("r");
+    const ActorId a = g.add_actor("a", 1);
+    g.add_channel(a, a, 1);
+    g.reserve(100, 200);
+    EXPECT_EQ(g.actor_count(), 1u);
+    EXPECT_EQ(g.channel_count(), 1u);
+    EXPECT_EQ(g.find_actor("a"), a);
+    for (int i = 0; i < 100; ++i) {
+        g.add_actor("x" + std::to_string(i), i);
+    }
+    EXPECT_EQ(g.find_actor("x99"), 100u);
 }
 
 TEST(Graph, InAndOutChannels) {

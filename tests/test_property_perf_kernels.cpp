@@ -86,13 +86,5 @@ TEST(PerfKernelsProperty, SymbolicPowerMatchesMatrixPower) {
     }
 }
 
-TEST(PerfKernelsProperty, DensityCountsFiniteEntries) {
-    MpMatrix m(2, 5);
-    EXPECT_DOUBLE_EQ(m.density(), 0.0);
-    m.set(0, 0, MpValue(1));
-    m.set(1, 4, MpValue(-3));
-    EXPECT_DOUBLE_EQ(m.density(), 0.2);
-}
-
 }  // namespace
 }  // namespace sdf
