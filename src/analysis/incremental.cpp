@@ -1,6 +1,7 @@
 #include "analysis/incremental.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "base/errors.hpp"
@@ -13,15 +14,13 @@ namespace sdf {
 
 namespace {
 
-/// Past this many firings, or this many consumed tokens per iteration, the
-/// slot degrades to a stateless throughput_symbolic answer: the trace keeps
-/// one stamp per firing and one source per consumed token.
+/// Past this many firings, consumed tokens or finish-support entries per
+/// iteration, the slot degrades to a stateless answer: the trace keeps one
+/// source per consumed token and one integer per support entry, and
+/// indexes both with 32 bits.
 constexpr std::size_t kMaxTracedFirings = std::size_t{1} << 17;
 constexpr std::size_t kMaxTracedInputs = std::size_t{1} << 22;
-
-std::uint64_t entry_key(std::size_t row, std::size_t col) {
-    return (static_cast<std::uint64_t>(row) << 32) | static_cast<std::uint64_t>(col);
-}
+constexpr std::size_t kMaxTracedSupport = std::size_t{1} << 22;
 
 /// A traced token: its stamp and its source (IncrementalSkeleton).  The
 /// executor seeds initial token k as the unit stamp of k, whose one finite
@@ -59,42 +58,6 @@ bool too_many_inputs(const Graph& graph, const std::vector<ActorId>& schedule) {
     return false;
 }
 
-/// Sparse entries of one stamp, in index order.
-std::vector<std::pair<std::size_t, Int>> stamp_entries(const MpStamp& stamp) {
-    std::vector<std::pair<std::size_t, Int>> entries;
-    entries.reserve(stamp.support());
-    stamp.for_each([&](std::size_t row, Int value) { entries.emplace_back(row, value); });
-    return entries;
-}
-
-/// Diffs one changed matrix column against its predecessor and appends the
-/// corresponding precedence-edge weight deltas.  False when the supports
-/// differ or an entry has no mapped edge — both impossible under a pure
-/// timing edit, so the caller treats false as "drop and recompute lazily".
-bool diff_column(const MpStamp& now, const MpStamp& before, std::size_t col,
-                 const IncrementalSkeleton& skeleton,
-                 std::vector<EdgeWeightDelta>& deltas) {
-    const auto new_entries = stamp_entries(now);
-    const auto old_entries = stamp_entries(before);
-    if (new_entries.size() != old_entries.size()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < new_entries.size(); ++i) {
-        if (new_entries[i].first != old_entries[i].first) {
-            return false;
-        }
-        if (new_entries[i].second == old_entries[i].second) {
-            continue;
-        }
-        const auto it = skeleton.entry_edge.find(entry_key(new_entries[i].first, col));
-        if (it == skeleton.entry_edge.end()) {
-            return false;
-        }
-        deltas.push_back(EdgeWeightDelta{it->second, new_entries[i].second});
-    }
-    return true;
-}
-
 }  // namespace
 
 IncrementalThroughput IncrementalThroughputAnalysis::compute(const Graph& graph) {
@@ -112,51 +75,79 @@ IncrementalThroughput IncrementalThroughputAnalysis::compute(const Graph& graph)
         return out;
     }
 
-    // --- The token game, tracing every finish stamp and token source. ----
+    // --- The token game, flattening every finish stamp as it is made. ----
     // (Above kMaxSymbolicTokens it throws the same ResourceLimitError as
     // throughput_symbolic, which then propagates uncached.)
     auto state = std::make_shared<IncrementalThroughputState>();
     auto skeleton = std::make_shared<IncrementalSkeleton>();
-    state->finish.reserve(schedule.size());
-    skeleton->input_start.reserve(schedule.size() + 1);
-    skeleton->input_start.push_back(0);
+    IncrementalSkeleton& sk = *skeleton;
+    bool flat = true;  // false once the supports pass kMaxTracedSupport
+    sk.input_start.reserve(schedule.size() + 1);
+    sk.input_start.push_back(0);
+    sk.support_start.reserve(schedule.size() + 1);
+    sk.support_start.push_back(0);
     std::vector<MpStamp> stamps;  // reused across firings
     auto traced = play_token_game<TracedToken>(
         graph, schedule, [&](std::size_t i, std::vector<TracedToken>& consumed) {
             stamps.clear();
             for (TracedToken& token : consumed) {
                 stamps.push_back(std::move(token.stamp));
-                skeleton->input.push_back(token.source);
+                if (flat) {
+                    sk.input.push_back(token.source);
+                }
             }
-            skeleton->input_start.push_back(skeleton->input.size());
-            state->finish.push_back(
-                MpStamp::max_of(stamps).plus(graph.actor(schedule[i]).execution_time));
-            return TracedToken{state->finish.back(), static_cast<std::uint32_t>(i)};
+            MpStamp finish =
+                MpStamp::max_of(stamps).plus(graph.actor(schedule[i]).execution_time);
+            if (flat) {
+                sk.input_start.push_back(static_cast<std::uint32_t>(sk.input.size()));
+                finish.for_each([&](std::size_t row, Int value) {
+                    sk.support.push_back(static_cast<std::uint32_t>(row));
+                    state->value.push_back(value);
+                });
+                sk.support_start.push_back(static_cast<std::uint32_t>(sk.support.size()));
+                flat = sk.support.size() <= kMaxTracedSupport;
+            }
+            return TracedToken{std::move(finish), static_cast<std::uint32_t>(i)};
         });
     if (!traced) {
         throw Error("internal: admissible schedule does not fit one iteration");
     }
-    state->column.reserve(traced->size());
-    skeleton->column_source.reserve(traced->size());
+    std::vector<MpStamp> columns;
+    columns.reserve(traced->size());
+    sk.column_source.reserve(traced->size());
     for (TracedToken& token : *traced) {
-        state->column.push_back(std::move(token.stamp));
-        skeleton->column_source.push_back(token.source);
+        columns.push_back(std::move(token.stamp));
+        sk.column_source.push_back(token.source);
     }
 
-    // --- Matrix, precedence graph, entry → edge map, certificate. --------
-    const Digraph precedence = MpSparseMatrix(state->column).precedence_graph();
-    skeleton->schedule = std::move(schedule);
-    skeleton->token_count = state->column.size();
-    skeleton->entry_edge.reserve(precedence.edge_count());
-    for (std::size_t g = 0; g < precedence.edge_count(); ++g) {
-        const DigraphEdge& e = precedence.edge(g);
-        skeleton->entry_edge.emplace(entry_key(e.from, e.to), g);
-    }
+    // --- Matrix, precedence graph, certificate. --------------------------
+    const Digraph precedence = MpSparseMatrix(columns).precedence_graph();
     state->certificate = max_cycle_mean_certified(precedence);
-    state->skeleton = std::move(skeleton);
-
     out.result =
         throughput_from_metric(state->certificate.metric, repetition_vector(graph));
+    if (!flat) {
+        return out;  // too big to keep warm: same answer, no state
+    }
+
+    // --- Entry -> edge, per column in support order. ---------------------
+    // precedence_graph emits edges row by row, so each column meets its
+    // entries in ascending row order: the order of its source's support.
+    sk.token_count = columns.size();
+    sk.entry_start.reserve(columns.size() + 1);
+    sk.entry_start.push_back(0);
+    for (const MpStamp& column : columns) {
+        sk.entry_start.push_back(sk.entry_start.back() + column.support());
+    }
+    sk.entry_edge.resize(sk.entry_start.back());
+    std::vector<std::size_t> next(sk.entry_start.begin(), sk.entry_start.end() - 1);
+    for (std::size_t g = 0; g < precedence.edge_count(); ++g) {
+        sk.entry_edge[next[precedence.edge(g).to]++] = g;
+    }
+    sk.input.shrink_to_fit();
+    sk.support.shrink_to_fit();
+    state->value.shrink_to_fit();
+    sk.schedule = std::move(schedule);
+    state->skeleton = std::move(skeleton);
     out.state = std::move(state);
     return out;
 }
@@ -183,17 +174,22 @@ Refined<IncrementalThroughput> IncrementalThroughputAnalysis::refine(
         }
     }
 
-    // --- Replay the edit's cone, keeping every clean finish stamp. -------
+    // --- Replay the edits' cone, keeping every clean finish value. ------
     // Sources precede their consumers in schedule order, so one forward
-    // pass settles every firing; clean ones cost a few flag reads.
+    // pass settles every firing; clean ones cost a few flag reads.  A dirty
+    // one scatter-maxes its inputs into `row` and gathers at its own
+    // support, the union of theirs, which leaves `row` at bottom again.  A
+    // value past int64 throws from checked_add, and refine_from drops the
+    // slot.
     if (graph.total_initial_tokens() != static_cast<Int>(sk.token_count)) {
         return Out::drop();  // token layout moved under us: not a timing edit
     }
     const std::size_t firings = sk.schedule.size();
     constexpr std::uint32_t kInitial = IncrementalSkeleton::kInitial;
-    std::vector<MpStamp> finish = st.finish;
+    constexpr Int kBottom = std::numeric_limits<Int>::min();
+    std::vector<Int> value = st.value;
     std::vector<char> changed(firings, 0);
-    std::vector<MpStamp> stamps;
+    std::vector<Int> row(sk.token_count, kBottom);
     for (std::size_t i = 0; i < firings; ++i) {
         const ActorId a = sk.schedule[i];
         bool dirty = touched[a] != 0;
@@ -201,35 +197,50 @@ Refined<IncrementalThroughput> IncrementalThroughputAnalysis::refine(
             dirty = sk.input[e] < kInitial && changed[sk.input[e]] != 0;
         }
         if (!dirty) {
-            continue;  // untouched cone: the old handle is exact
+            continue;  // untouched cone: the old values are exact
         }
         SDFRED_CHECKPOINT();
-        stamps.clear();
         for (std::size_t e = sk.input_start[i]; e < sk.input_start[i + 1]; ++e) {
             const std::uint32_t source = sk.input[e];
-            stamps.push_back(source < kInitial ? finish[source]
-                                               : MpStamp::unit(source & ~kInitial));
+            if (source >= kInitial) {
+                Int& slot = row[source & ~kInitial];
+                slot = std::max(slot, Int{0});  // the unit stamp
+                continue;
+            }
+            for (std::size_t p = sk.support_start[source]; p < sk.support_start[source + 1];
+                 ++p) {
+                Int& slot = row[sk.support[p]];
+                slot = std::max(slot, value[p]);
+            }
         }
-        MpStamp next = MpStamp::max_of(stamps).plus(graph.actor(a).execution_time);
-        // Equal to the traced stamp: the edit was absorbed (e.g. not on
-        // the critical input) and the cone stops here.
-        if (!(next == st.finish[i])) {
-            finish[i] = std::move(next);
-            changed[i] = 1;
+        const Int time = graph.actor(a).execution_time;
+        for (std::size_t p = sk.support_start[i]; p < sk.support_start[i + 1]; ++p) {
+            Int& slot = row[sk.support[p]];
+            const Int next = checked_add(slot, time);
+            slot = kBottom;
+            // Equal to the traced value: the edit was absorbed (e.g. not on
+            // the critical input), and if all are, the cone stops here.
+            if (next != value[p]) {
+                value[p] = next;
+                changed[i] = 1;
+            }
         }
     }
 
     // --- Diff the changed final columns into precedence-edge deltas. -----
-    std::vector<MpStamp> column = st.column;
     std::vector<EdgeWeightDelta> deltas;
-    for (std::size_t col = 0; col < column.size(); ++col) {
+    for (std::size_t col = 0; col < sk.token_count; ++col) {
         const std::uint32_t source = sk.column_source[col];
         if (source >= kInitial || changed[source] == 0) {
             continue;
         }
-        column[col] = finish[source];
-        if (!diff_column(column[col], st.column[col], col, sk, deltas)) {
-            return Out::drop();
+        const std::size_t first = sk.support_start[source];
+        const std::size_t count = sk.support_start[source + 1] - first;
+        for (std::size_t j = 0; j < count; ++j) {
+            if (value[first + j] != st.value[first + j]) {
+                deltas.push_back(
+                    EdgeWeightDelta{sk.entry_edge[sk.entry_start[col] + j], value[first + j]});
+            }
         }
     }
 
@@ -252,8 +263,7 @@ Refined<IncrementalThroughput> IncrementalThroughputAnalysis::refine(
     }
     auto state = std::make_shared<IncrementalThroughputState>();
     state->skeleton = st.skeleton;
-    state->finish = std::move(finish);
-    state->column = std::move(column);
+    state->value = std::move(value);
     state->certificate = std::move(certificate);
     next.state = std::move(state);
     return Out::make(std::move(next));

@@ -124,9 +124,11 @@ std::string write_xml_string(const Graph& graph) {
     // each 2c for out-port c or 2c+1 for in-port c.  One pass over the
     // channels fills every actor's list.
     std::vector<std::size_t> port_begin(actors.size() + 1, 0);
+    std::size_t endpoint_name_bytes = 0;
     for (const Channel& ch : channels) {
         ++port_begin[ch.src + 1];
         ++port_begin[ch.dst + 1];
+        endpoint_name_bytes += actors[ch.src].name.size() + actors[ch.dst].name.size();
     }
     for (std::size_t a = 0; a < actors.size(); ++a) {
         port_begin[a + 1] += port_begin[a];
@@ -138,7 +140,16 @@ std::string write_xml_string(const Graph& graph) {
         port[next[channels[c].dst]++] = 2 * c + 1;
     }
 
+    // Reserve the unescaped size up front: per actor its three name copies
+    // and about 220 bytes of markup, per channel its endpoint names and
+    // about 240 bytes (two port lines and the channel line).
+    std::size_t actor_name_bytes = 0;
+    for (const Actor& actor : actors) {
+        actor_name_bytes += actor.name.size();
+    }
     std::string out;
+    out.reserve(512 + 3 * actor_name_bytes + 220 * actors.size() + endpoint_name_bytes +
+                240 * channels.size());
     const auto quoted = [&out](std::string_view text) {
         out += '"';
         append_xml_escaped(out, text);

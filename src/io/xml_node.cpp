@@ -278,16 +278,23 @@ std::string xml_escape(const std::string& text) {
 }
 
 void append_xml_escaped(std::string& out, std::string_view text) {
-    for (const char c : text) {
-        switch (c) {
-            case '&': out += "&amp;"; break;
-            case '<': out += "&lt;"; break;
-            case '>': out += "&gt;"; break;
-            case '"': out += "&quot;"; break;
-            case '\'': out += "&apos;"; break;
-            default: out += c;
+    // Each run of plain characters is one append.
+    std::size_t plain = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        std::string_view entity;
+        switch (text[i]) {
+            case '&': entity = "&amp;"; break;
+            case '<': entity = "&lt;"; break;
+            case '>': entity = "&gt;"; break;
+            case '"': entity = "&quot;"; break;
+            case '\'': entity = "&apos;"; break;
+            default: continue;
         }
+        out.append(text.substr(plain, i - plain));
+        out.append(entity);
+        plain = i + 1;
     }
+    out.append(text.substr(plain));
 }
 
 }  // namespace sdf

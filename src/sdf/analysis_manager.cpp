@@ -15,16 +15,6 @@ bool AnalysisManager::has(const std::string& analysis) const {
     return false;
 }
 
-bool AnalysisManager::empty() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [key, slot] : slots_) {
-        if (slot.value) {
-            return false;
-        }
-    }
-    return true;
-}
-
 void AnalysisManager::adopt_matching(const AnalysisManager& from,
                                      const std::vector<std::string>* filter) {
     // Lock ordering: `from` is always the retired manager of a graph the
@@ -51,7 +41,7 @@ void AnalysisManager::adopt_matching(const AnalysisManager& from,
         slot.timed = source.timed;
         slot.refine_fn = source.refine_fn;
         slot.phase = source.phase;
-        slot.value = source.value;
+        fill(slot, source.value);
         ++slot.adopted;
     }
 }
@@ -127,10 +117,10 @@ void AnalysisManager::refine_from(const AnalysisManager& from, const Graph& grap
             continue;  // a concurrent first result wins, as everywhere
         }
         if (outcome.action == 1) {
-            slot.value = p.slot.value;
+            fill(slot, p.slot.value);
             ++slot.kept;
         } else {
-            slot.value = std::move(outcome.value);
+            fill(slot, std::move(outcome.value));
             ++slot.refined;
         }
     }

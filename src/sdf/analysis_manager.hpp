@@ -29,17 +29,18 @@
 // it until either copy mutates, and results cached for the old graph stay
 // with the old graph.  A structural mutation (add_actor, add_channel) or a
 // rate edit (set_rates) drops every result: rates fix the repetition
-// vector and with it the iteration every other result describes.  A timing
-// or token edit on the fixed structure is no blanket invalidation: the
-// setter records a MutationEvent (sdf/mutation.hpp) and swaps in a fresh
-// manager that REFINES from the old one — per slot, the delta either
+// vector and with it the iteration every other result describes.  A batch
+// of timing and token edits on the fixed structure is no blanket
+// invalidation: Graph::apply_edits records one MutationEvent per changed
+// value (sdf/mutation.hpp) and swaps in a fresh manager that REFINES from
+// the old one through the whole log, once — per slot, the delta either
 //
 //   * KEEPS the cached value (a pure timing edit cannot move any untimed
 //     result, no logged edit moves the repetition vector; counted in
-//     `kept`),
+//     `kept`, once per batch),
 //   * REFINES it through the trait's optional refine() hook (throughput
 //     re-certified from the incremental max-plus state; counted in
-//     `refined`), or
+//     `refined`, once per batch however many events it holds), or
 //   * DROPS it for lazy recomputation (the conservative default).
 //
 // A slot without a refine() hook follows the default rule: kept when the
@@ -55,13 +56,16 @@
 // The pass pipeline (src/pass) additionally moves slots *across* a
 // transformation when the pass declares them preserved (adopt()).
 //
-// Slots are filled under the mutex, but compute() runs OUTSIDE it: analyses
+// Slots are filled under the mutex and never cleared, so empty() reads one
+// atomic flag set under it and takes no lock: Graph asks on every add_actor
+// and add_channel.  compute() runs OUTSIDE the mutex: analyses
 // call back into the manager (throughput consults the repetition and
 // schedule slots), and a held lock would self-deadlock.  Concurrent readers
 // may race to compute the same slot; the first result wins and the loser's
 // work is discarded — the same benign race the old memo allowed.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -166,7 +170,7 @@ public:
         Slot& slot = slots_[key];
         describe_slot<A>(slot);
         if (!slot.value) {
-            slot.value = computed;
+            fill(slot, computed);
             ++slot.misses;
         } else {
             // Lost a compute race; keep the first result so every caller
@@ -197,8 +201,8 @@ public:
     /// True when a slot with this kName holds a result.
     [[nodiscard]] bool has(const std::string& analysis) const;
 
-    /// True when no slot holds a result.
-    [[nodiscard]] bool empty() const;
+    /// True when no slot holds a result.  Lock-free.
+    [[nodiscard]] bool empty() const { return !filled_.load(std::memory_order_acquire); }
 
     /// Copies the cached results whose kName appears in `analyses` from
     /// another manager (typically the one of the graph a pass just
@@ -274,8 +278,15 @@ private:
     void adopt_matching(const AnalysisManager& from,
                         const std::vector<std::string>* filter);
 
+    /// Stores a result in an empty slot; the caller holds mutex_.
+    void fill(Slot& slot, std::shared_ptr<const void> value) {
+        slot.value = std::move(value);
+        filled_.store(true, std::memory_order_release);
+    }
+
     mutable std::mutex mutex_;
     std::unordered_map<std::type_index, Slot> slots_;
+    std::atomic<bool> filled_{false};  ///< some slot holds a result
 };
 
 }  // namespace sdf

@@ -4,18 +4,6 @@
 
 namespace sdf {
 
-void Graph::record_mutation(const MutationEvent& event) {
-    // The retired manager keeps serving copies that still share it; the
-    // fresh one starts from whatever the single-event delta lets survive.
-    // refine_from never throws (a failing hook only drops its slot), so a
-    // mutator can never leave the graph holding stale cached analyses.
-    auto fresh = std::make_shared<AnalysisManager>();
-    MutationLog delta;
-    delta.push(event);
-    fresh->refine_from(*analyses_, *this, delta);
-    analyses_ = fresh;
-}
-
 void Graph::drop_analyses() {
     // A copy may still share the manager, and its results belong to the old
     // structure: leave them to the copy.  An unshared, empty manager already
@@ -71,36 +59,58 @@ void Graph::reserve(std::size_t actors, std::size_t channels) {
     channels_.reserve(channels);
 }
 
-bool Graph::set_execution_time(ActorId id, Int execution_time) {
-    require(id < actors_.size(), "actor id out of range");
-    require(execution_time >= 0, "negative execution time");
-    if (actors_[id].execution_time == execution_time) {
-        return false;  // no-op edit: nothing changed, the whole cache stands
+std::size_t Graph::apply_edits(std::span<const ValueEdit> edits) {
+    for (const ValueEdit& e : edits) {
+        if (e.kind == MutationKind::execution_time) {
+            require(e.id < actors_.size(), "actor id out of range");
+            require(e.value >= 0, "negative execution time");
+        } else {
+            require(e.id < channels_.size(), "channel id out of range");
+            require(e.value >= 0, "negative initial tokens");
+        }
     }
-    MutationEvent event;
-    event.kind = MutationKind::execution_time;
-    event.id = id;
-    event.old_a = actors_[id].execution_time;
-    event.new_a = execution_time;
-    actors_[id].execution_time = execution_time;
-    record_mutation(event);
-    return true;
+    const auto field = [this](MutationKind kind, std::size_t id) -> Int& {
+        return kind == MutationKind::execution_time ? actors_[id].execution_time
+                                                    : channels_[id].initial_tokens;
+    };
+    // The retired manager keeps serving copies that still share it; the
+    // fresh one starts from whatever the delta lets survive.  refine_from
+    // never throws (a failing hook only drops its slot); if recording or
+    // the allocation throws, the values are put back, so the graph never
+    // holds an edit its manager has not seen.
+    MutationLog log;
+    try {
+        for (const ValueEdit& e : edits) {
+            Int& value = field(e.kind, e.id);
+            if (value == e.value) {
+                continue;  // no-op edit: nothing to record
+            }
+            log.push(MutationEvent{e.kind, e.id, value, e.value});
+            value = e.value;
+        }
+        if (log.empty()) {
+            return 0;
+        }
+        auto fresh = std::make_shared<AnalysisManager>();
+        fresh->refine_from(*analyses_, *this, log);
+        analyses_ = std::move(fresh);
+    } catch (...) {
+        for (auto it = log.events().rbegin(); it != log.events().rend(); ++it) {
+            field(it->kind, it->id) = it->old_a;
+        }
+        throw;
+    }
+    return log.size();
+}
+
+bool Graph::set_execution_time(ActorId id, Int execution_time) {
+    const ValueEdit edit{MutationKind::execution_time, id, execution_time};
+    return apply_edits({&edit, 1}) != 0;
 }
 
 bool Graph::set_initial_tokens(ChannelId id, Int initial_tokens) {
-    require(id < channels_.size(), "channel id out of range");
-    require(initial_tokens >= 0, "negative initial tokens");
-    if (channels_[id].initial_tokens == initial_tokens) {
-        return false;  // no-op edit
-    }
-    MutationEvent event;
-    event.kind = MutationKind::initial_tokens;
-    event.id = id;
-    event.old_a = channels_[id].initial_tokens;
-    event.new_a = initial_tokens;
-    channels_[id].initial_tokens = initial_tokens;
-    record_mutation(event);
-    return true;
+    const ValueEdit edit{MutationKind::initial_tokens, id, initial_tokens};
+    return apply_edits({&edit, 1}) != 0;
 }
 
 bool Graph::set_rates(ChannelId id, Int production, Int consumption) {

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -82,13 +83,21 @@ public:
     [[nodiscard]] const std::vector<Actor>& actors() const { return actors_; }
     [[nodiscard]] const std::vector<Channel>& channels() const { return channels_; }
 
-    /// Updates an actor's execution time (used by abstraction & generators).
-    /// Returns true when the value changed; a no-op edit records nothing and
-    /// keeps the cache whole.
+    /// Applies timing and token edits in order as one delta.  Every edit is
+    /// checked first (id in range, value non-negative); if one fails, the
+    /// graph is left as it was.  Each edit that changes its value records
+    /// one MutationEvent (old value as the earlier edits left it), and the
+    /// whole log refines the analyses once.  Returns the number of edits
+    /// that changed a value; when it is 0 nothing was recorded and the
+    /// cache stays whole.
+    std::size_t apply_edits(std::span<const ValueEdit> edits);
+
+    /// Updates an actor's execution time (used by abstraction & generators):
+    /// a one-edit apply_edits.  Returns true when the value changed.
     bool set_execution_time(ActorId id, Int execution_time);
 
-    /// Replaces a channel's initial-token count (used by buffer modelling).
-    /// Returns true when the value changed; a no-op edit records nothing.
+    /// Replaces a channel's initial-token count (used by buffer modelling):
+    /// a one-edit apply_edits.  Returns true when the value changed.
     bool set_initial_tokens(ChannelId id, Int initial_tokens);
 
     /// Replaces a channel's production/consumption rates (both positive).
@@ -115,10 +124,10 @@ public:
     /// This graph's analysis cache (see sdf/analysis_manager.hpp).  Copies
     /// of a graph share the manager until either copy mutates, and results
     /// cached for the old graph stay with the old graph:
-    ///   * a timing or token edit (set_execution_time, set_initial_tokens)
-    ///     swaps in a fresh manager refined from the old one through the
-    ///     recorded delta, so everything the edit cannot move stays with
-    ///     this graph;
+    ///   * a batch of timing and token edits (apply_edits and its one-edit
+    ///     forms set_execution_time, set_initial_tokens) swaps in a fresh
+    ///     manager refined once from the old one through the recorded
+    ///     delta, so everything the edits cannot move stays with this graph;
     ///   * a rate edit (set_rates) or a structural edit (add_*) drops every
     ///     result.  It swaps in a fresh, empty manager only when the current
     ///     one is shared or holds a result, so building a graph allocates
@@ -128,11 +137,6 @@ public:
     }
 
 private:
-    /// Called by the timing and token setters AFTER applying the edit: swaps
-    /// in a fresh manager refined from the old one through the single-event
-    /// delta.  Never throws.
-    void record_mutation(const MutationEvent& event);
-
     /// Called by add_actor/add_channel/set_rates: makes sure this graph's
     /// manager is its own and holds no result.
     void drop_analyses();

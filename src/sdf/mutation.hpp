@@ -2,7 +2,8 @@
 //
 // A timing or token edit on a fixed structure describes WHAT changed as a
 // MutationEvent instead of blanketly discarding the analysis cache: the
-// setter swaps in a fresh manager filled by `refine_from(old, graph, log)`,
+// batch setter Graph::apply_edits records one event per value it changed
+// and swaps in a fresh manager filled by `refine_from(old, graph, log)`,
 // which asks every cached analysis slot how it survives the delta — kept
 // unchanged, refined in place, or dropped for lazy recomputation (see
 // sdf/analysis_manager.hpp for the per-slot contract and docs/INCREMENTAL.md
@@ -15,9 +16,11 @@
 // Events are value records of the pre- and post-edit scalars, so refinement
 // hooks can reason about the *direction* of a change (a token increase can
 // never introduce a deadlock; a pure execution-time edit cannot touch any
-// untimed result).  A MutationLog is an ordered batch of events; the
-// setters hand a one-event log to refine_from.  The serve `edit` op applies
-// a client-provided script through the setters, one event each.
+// untimed result).  A MutationLog is an ordered batch of events, and one
+// batch is one refinement: apply_edits hands its whole log to refine_from
+// once, set_execution_time and set_initial_tokens are one-edit batches, and
+// the serve `edit` op applies each run of value steps of a client script as
+// one batch.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +39,14 @@ using ChannelId = std::size_t;
 enum class MutationKind : std::uint8_t {
     execution_time,   ///< set_execution_time; old_a -> new_a on actor `id`
     initial_tokens,   ///< set_initial_tokens; old_a -> new_a on channel `id`
+};
+
+/// One requested value edit (Graph::apply_edits): the new execution time of
+/// actor `id`, or the new initial-token count of channel `id`.
+struct ValueEdit {
+    MutationKind kind = MutationKind::execution_time;
+    std::size_t id = 0;
+    Int value = 0;
 };
 
 /// One recorded mutation.

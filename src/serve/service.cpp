@@ -3,8 +3,10 @@
 #include <chrono>
 #include <fstream>
 #include <new>
+#include <span>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "analysis/incremental.hpp"
 #include "lint/lint.hpp"
@@ -494,63 +496,63 @@ Json ServeCore::op_edit(const Request& request, const CancellationToken& token,
         }
     }
 
-    // The copy shares the parent's AnalysisManager until the first edit;
-    // each timing or token edit then records a MutationEvent and swaps in a
-    // manager REFINED from the previous one (sdf/mutation.hpp), so the
-    // parent's cached slots survive into the child wherever the delta
-    // allows.  A rate edit starts the child over on an empty manager.
+    // Resolve and check every step before applying any: a bad step answers
+    // 400 naming its index, and nothing has been applied.
+    std::vector<ValueEdit> values(request.edits.size());
+    for (std::size_t i = 0; i < request.edits.size(); ++i) {
+        const EditStep& step = request.edits[i];
+        const std::string at = " (edit #" + std::to_string(i) + ")";
+        if (step.kind == EditStep::Kind::execution_time) {
+            const std::optional<ActorId> actor = parent.graph.find_actor(step.actor);
+            if (!actor) {
+                throw BadRequestError("unknown actor \"" + step.actor + "\"" + at);
+            }
+            values[i] = ValueEdit{MutationKind::execution_time, *actor, step.value};
+        } else if (step.channel >= parent.graph.channel_count()) {
+            throw BadRequestError("channel " + std::to_string(step.channel) +
+                                  " out of range (graph has " +
+                                  std::to_string(parent.graph.channel_count()) + ")" + at);
+        } else if (step.kind == EditStep::Kind::initial_tokens) {
+            values[i] = ValueEdit{MutationKind::initial_tokens, step.channel, step.value};
+        }
+    }
+
+    // The copy shares the parent's AnalysisManager until the first edit.
+    // Each run of timing and token steps is one batch (Graph::apply_edits):
+    // one MutationLog, one manager REFINED from the previous one
+    // (sdf/mutation.hpp), so the parent's cached slots survive into the
+    // child wherever the delta allows.  A rate step starts the child over
+    // on an empty manager.
     Graph child = parent.graph;
     std::uint64_t applied = 0;
     std::uint64_t kept = 0;
     std::uint64_t refined = 0;
-    for (std::size_t i = 0; i < request.edits.size(); ++i) {
-        const EditStep& step = request.edits[i];
-        const std::string at = " (edit #" + std::to_string(i) + ")";
-        bool changed = false;
-        switch (step.kind) {
-            case EditStep::Kind::execution_time: {
-                const std::optional<ActorId> actor = child.find_actor(step.actor);
-                if (!actor) {
-                    throw BadRequestError("unknown actor \"" + step.actor + "\"" + at);
-                }
-                changed = child.set_execution_time(*actor, step.value);
-                break;
-            }
-            case EditStep::Kind::initial_tokens: {
-                if (step.channel >= child.channel_count()) {
-                    throw BadRequestError(
-                        "channel " + std::to_string(step.channel) +
-                        " out of range (graph has " +
-                        std::to_string(child.channel_count()) + ")" + at);
-                }
-                changed = child.set_initial_tokens(step.channel, step.value);
-                break;
-            }
-            case EditStep::Kind::rates: {
-                if (step.channel >= child.channel_count()) {
-                    throw BadRequestError(
-                        "channel " + std::to_string(step.channel) +
-                        " out of range (graph has " +
-                        std::to_string(child.channel_count()) + ")" + at);
-                }
-                changed =
-                    child.set_rates(step.channel, step.production, step.consumption);
-                break;
-            }
-        }
-        // A timing or token edit swaps in a fresh manager whose kept/refined
-        // counters describe that one refinement; a rate edit leaves an empty
-        // one, which counts nothing.  No-op edits keep the old manager (and
-        // would double-count it), so they count as neither applied nor
-        // refined.
-        if (changed) {
-            ++applied;
+    const auto apply_run = [&](std::size_t begin, std::size_t end) {
+        const std::size_t changed =
+            child.apply_edits(std::span(values).subspan(begin, end - begin));
+        // A batch that changed a value swaps in a fresh manager whose
+        // kept/refined counters describe that one refinement.  An all-no-op
+        // batch keeps the old manager (and would double-count it).
+        if (changed > 0) {
+            applied += changed;
             for (const AnalysisSlotStats& slot : child.analyses()->stats()) {
                 kept += slot.kept;
                 refined += slot.refined;
             }
         }
+    };
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < request.edits.size(); ++i) {
+        const EditStep& step = request.edits[i];
+        if (step.kind == EditStep::Kind::rates) {
+            apply_run(run, i);
+            run = i + 1;
+            // The empty manager a rate edit leaves counts nothing.
+            applied +=
+                child.set_rates(step.channel, step.production, step.consumption) ? 1 : 0;
+        }
     }
+    apply_run(run, request.edits.size());
     slots_kept_.fetch_add(kept, std::memory_order_relaxed);
     slots_refined_.fetch_add(refined, std::memory_order_relaxed);
     edits_applied_.fetch_add(applied, std::memory_order_relaxed);

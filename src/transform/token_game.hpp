@@ -15,8 +15,9 @@
 //
 //   * symbolic_iteration           — Token = MpStamp, rule max ⊕ T(a);
 //   * IncrementalThroughputAnalysis::compute — the same rule over
-//     (stamp, source) tokens, recording each finish stamp and where every
-//     consumed token came from, so that refine replays only an edit's cone;
+//     (stamp, source) tokens, flattening each finish stamp into plain
+//     integers and recording where every consumed token came from, so that
+//     refine replays only an edit's cone;
 //   * csdf_symbolic_iteration      — (actor, phase) firings, per-phase rates.
 //
 // symbolic_iteration_dense keeps its own loop on purpose: it is the

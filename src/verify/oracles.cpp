@@ -1039,12 +1039,21 @@ Graph rebuild_cold(const Graph& graph) {
     return out;
 }
 
-void apply_script_edit(Graph& graph, const ScriptEdit& e) {
-    switch (e.kind) {
-        case 0: graph.set_execution_time(e.idx, e.a); break;
-        case 1: graph.set_initial_tokens(e.idx, e.a); break;
-        default: graph.set_rates(e.idx, e.a, e.b); break;
+/// Applies script[begin, end) to `graph`: a rate step on its own, or a run
+/// of timing and token steps as one apply_edits batch.
+void apply_script_edits(Graph& graph, const std::vector<ScriptEdit>& script,
+                        std::size_t begin, std::size_t end) {
+    if (script[begin].kind == 2) {
+        graph.set_rates(script[begin].idx, script[begin].a, script[begin].b);
+        return;
     }
+    std::vector<ValueEdit> batch;
+    for (std::size_t i = begin; i < end; ++i) {
+        batch.push_back(ValueEdit{script[i].kind == 0 ? MutationKind::execution_time
+                                                      : MutationKind::initial_tokens,
+                                  script[i].idx, script[i].a});
+    }
+    graph.apply_edits(batch);
 }
 
 /// Queries both routes on the current state and appends disagreements.  The
@@ -1112,13 +1121,17 @@ void compare_incremental_state(const Graph& inc, const OracleLimits& limits,
 }
 
 /// Runs one edit script over a warm lineage, comparing against from-scratch
-/// rebuilds at interleaved points.  `fault_spec`, when non-null, re-arms
-/// that fault-injection plan around EVERY edit, so each refinement runs
-/// with a live countdown — a tripped hook must degrade to a dropped slot
-/// (a later cache miss), never to a wrong cached value.
+/// rebuilds at interleaved points.  Step by step, every edit is its own
+/// delta and the lineage is compared after every other edit and after the
+/// last.  `batched`, each run of timing and token edits is one
+/// apply_edits batch (one delta, one refinement) and the lineage is
+/// compared after every batch and every rate edit.  `fault_spec`, when
+/// non-null, re-arms that fault-injection plan around EVERY delta, so each
+/// refinement runs with a live countdown — a tripped hook must degrade to
+/// a dropped slot (a later cache miss), never to a wrong cached value.
 std::vector<Disagreement> run_incremental_script(
     const Graph& base, const std::vector<ScriptEdit>& script,
-    const OracleLimits& limits, const char* fault_spec) {
+    const OracleLimits& limits, const char* fault_spec, bool batched) {
     std::vector<Disagreement> out;
     Graph inc = rebuild_cold(base);
     // Prime every slot so the edits below REFINE warm state: the initial
@@ -1138,22 +1151,31 @@ std::vector<Disagreement> run_incremental_script(
             // then refine whatever the manager does hold.
         }
     }
-    for (std::size_t step = 0; step < script.size(); ++step) {
+    for (std::size_t begin = 0; begin < script.size();) {
+        std::size_t end = begin + 1;
+        while (batched && script[begin].kind != 2 && end < script.size() &&
+               script[end].kind != 2) {
+            ++end;
+        }
         if (fault_spec != nullptr) {
             const FaultInjectionScope fault(fault_spec);
-            apply_script_edit(inc, script[step]);
+            apply_script_edits(inc, script, begin, end);
         } else {
-            apply_script_edit(inc, script[step]);
+            apply_script_edits(inc, script, begin, end);
         }
-        // Interleave queries with edits: compare after every other edit and
-        // always after the last, so refinement chains of length > 1 run.
-        if (step + 1 == script.size() || step % 2 == 0) {
-            compare_incremental_state(
-                inc, limits, "after edit #" + std::to_string(step), out);
+        // Interleave queries with edits, so refinement chains of length > 1
+        // run.
+        if (batched || end == script.size() || begin % 2 == 0) {
+            const std::string stage =
+                end - begin == 1 ? "after edit #" + std::to_string(begin)
+                                 : "after edits #" + std::to_string(begin) + "-#" +
+                                       std::to_string(end - 1) + " as one batch";
+            compare_incremental_state(inc, limits, stage, out);
             if (!out.empty()) {
                 return out;
             }
         }
+        begin = end;
     }
     return out;
 }
@@ -1163,14 +1185,16 @@ std::vector<Disagreement> run_incremental_script(
 /// are short and each trial is a handful of small-graph analyses.
 std::vector<ScriptEdit> shrink_incremental_script(const Graph& base,
                                                   std::vector<ScriptEdit> script,
-                                                  const OracleLimits& limits) {
+                                                  const OracleLimits& limits,
+                                                  bool batched) {
     bool progress = true;
     while (progress && script.size() > 1) {
         progress = false;
         for (std::size_t i = 0; i < script.size(); ++i) {
             std::vector<ScriptEdit> candidate = script;
             candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
-            if (!run_incremental_script(base, candidate, limits, nullptr).empty()) {
+            if (!run_incremental_script(base, candidate, limits, nullptr, batched)
+                     .empty()) {
                 script = std::move(candidate);
                 progress = true;
                 break;
@@ -1247,34 +1271,41 @@ Verdict run_incremental_route(const Graph& graph, const OracleLimits& limits) {
         script.push_back(e);
     }
 
-    std::vector<Disagreement> disagreements =
-        run_incremental_script(graph, script, limits, nullptr);
+    // Two lineages: every edit its own delta, then each run of timing and
+    // token edits as one batch, the way serve's edit op applies a script.
+    for (const bool batched : {false, true}) {
+        const char* route = batched ? "batched refinement" : "incremental refinement";
+        std::vector<Disagreement> disagreements =
+            run_incremental_script(graph, script, limits, nullptr, batched);
 
-    // Fault-injection leg: the same script with an allocation fault re-armed
-    // around every edit.  A refinement hook that trips mid-flight must drop
-    // its slot (refine_from's contract) — the comparisons must still agree.
-    // Skipped under an installed Governor: the armed countdown would also
-    // fire inside the governed from-scratch route and reject the whole run.
-    if (disagreements.empty() && current_governor() == nullptr) {
-        disagreements = run_incremental_script(graph, script, limits, "alloc:1");
+        // Fault-injection leg: the same script with an allocation fault
+        // re-armed around every delta.  A refinement hook that trips
+        // mid-flight must drop its slot (refine_from's contract) — the
+        // comparisons must still agree.  Skipped under an installed
+        // Governor: the armed countdown would also fire inside the governed
+        // from-scratch route and reject the whole run.
+        if (disagreements.empty() && current_governor() == nullptr) {
+            disagreements = run_incremental_script(graph, script, limits, "alloc:1", batched);
+            if (!disagreements.empty()) {
+                return Verdict::fail(kId,
+                                     std::string(route) +
+                                         " under injected allocation faults "
+                                         "published a wrong cached value; script: " +
+                                         script_to_string(script),
+                                     std::move(disagreements));
+            }
+        }
+
         if (!disagreements.empty()) {
+            script = shrink_incremental_script(graph, std::move(script), limits, batched);
+            disagreements = run_incremental_script(graph, script, limits, nullptr, batched);
             return Verdict::fail(kId,
-                                 "refinement under injected allocation faults "
-                                 "published a wrong cached value; script: " +
+                                 std::string(route) +
+                                     " diverges from from-scratch recomputation; "
+                                     "minimal script: " +
                                      script_to_string(script),
                                  std::move(disagreements));
         }
-    }
-
-    if (!disagreements.empty()) {
-        script = shrink_incremental_script(graph, std::move(script), limits);
-        disagreements = run_incremental_script(graph, script, limits, nullptr);
-        return Verdict::fail(
-            kId,
-            "incremental refinement diverges from from-scratch recomputation; "
-            "minimal script: " +
-                script_to_string(script),
-            std::move(disagreements));
     }
     return Verdict::pass(kId);
 }

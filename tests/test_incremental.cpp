@@ -4,7 +4,9 @@
 // certificate layer behind it (maxplus/mcm_certificate.hpp).  The
 // fuzz oracle `incremental-route` covers random edit scripts; these are the
 // deterministic corner cases.
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -225,6 +227,25 @@ TEST(Refinement, TooManyConsumedTokensKeepsNoWarmState) {
     EXPECT_EQ(warm->result.per_actor, reference.per_actor);
 }
 
+TEST(Refinement, TooLargeFinishSupportsKeepNoWarmState) {
+    // s takes all 16000 initial tokens in its one firing, and each of y's
+    // 300 firings inherits that support: 4.8M support entries, above the
+    // 2^22 the flat trace keeps, from 16300 consumed tokens.
+    Graph g("wide_support");
+    const ActorId z = g.add_actor("z", 1);
+    const ActorId s = g.add_actor("s", 2);
+    const ActorId y = g.add_actor("y", 3);
+    g.add_channel(z, s, 1, 16000, 16000);
+    g.add_channel(s, y, 300, 1, 0);
+    const auto warm = warm_throughput(g);
+    ASSERT_NE(warm, nullptr);
+    EXPECT_EQ(warm->state, nullptr);
+    const ThroughputResult reference = throughput_symbolic(rebuild_cold(g));
+    EXPECT_EQ(warm->result.outcome, reference.outcome);
+    EXPECT_EQ(warm->result.period, reference.period);
+    EXPECT_EQ(warm->result.per_actor, reference.per_actor);
+}
+
 TEST(Refinement, EditChainStaysExactAndCountsRefines) {
     Graph g = fork_join_graph(8, 5, 2);
     const auto warm = warm_throughput(g);
@@ -360,6 +381,166 @@ TEST(Refinement, StatsCountKeptAndRefinedSlots) {
     }
     EXPECT_GE(kept, 2u);     // repetition + schedule (at least)
     EXPECT_GE(refined, 1u);  // warm state
+}
+
+// ------------------------------------------------------------- batched edits
+
+/// Expects every field a bit-exact comparison reads to be equal.
+void expect_same_throughput(const ThroughputResult& got, const ThroughputResult& want) {
+    EXPECT_EQ(got.outcome, want.outcome);
+    EXPECT_EQ(got.period, want.period);
+    EXPECT_EQ(got.per_actor, want.per_actor);
+}
+
+/// The kept/refined counters of the slot named `analysis` on `g`.
+AnalysisSlotStats slot_stats(const Graph& g, const std::string& analysis) {
+    for (const AnalysisSlotStats& slot : g.analyses()->stats()) {
+        if (slot.analysis == analysis) {
+            return slot;
+        }
+    }
+    return AnalysisSlotStats{};
+}
+
+TEST(BatchedEdits, ApplyEditsRecordsOneDeltaAndSkipsNoOps) {
+    Graph g = ring4();
+    g.analyses()->get<EventRecorderAnalysis>(g);
+    const std::vector<ValueEdit> edits = {
+        {MutationKind::execution_time, 1, 7},
+        {MutationKind::execution_time, 0, 1},  // no-op: a is already 1
+        {MutationKind::initial_tokens, 3, 5},
+        {MutationKind::execution_time, 1, 8},  // old value is the 7 set above
+    };
+    EXPECT_EQ(g.apply_edits(edits), 3u);
+    EXPECT_EQ(g.actor(1).execution_time, 8);
+    EXPECT_EQ(g.channel(3).initial_tokens, 5);
+
+    // One refinement saw all three events, in order.
+    EXPECT_EQ(slot_stats(g, EventRecorderAnalysis::kName).refined, 1u);
+    const auto events = recorded_events(g);
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_EQ(events[0], (MutationEvent{MutationKind::execution_time, 1, 2, 7}));
+    EXPECT_EQ(events[1], (MutationEvent{MutationKind::initial_tokens, 3, 2, 5}));
+    EXPECT_EQ(events[2], (MutationEvent{MutationKind::execution_time, 1, 7, 8}));
+}
+
+TEST(BatchedEdits, AnInvalidEditLeavesTheGraphAsItWas) {
+    Graph g = ring4();
+    repetition_vector(g);
+    const auto manager = g.analyses();
+    const std::vector<ValueEdit> edits = {
+        {MutationKind::execution_time, 1, 7},
+        {MutationKind::initial_tokens, 9, 1},  // no channel 9
+    };
+    EXPECT_THROW(g.apply_edits(edits), InvalidGraphError);
+    EXPECT_EQ(g.actor(1).execution_time, 2);
+    EXPECT_EQ(g.analyses(), manager);
+    EXPECT_EQ(g.apply_edits({}), 0u);
+    EXPECT_EQ(g.analyses(), manager);
+}
+
+TEST(BatchedEdits, TimingScriptRefinesEachSlotOnceAndMatchesStepByStep) {
+    Graph g = fork_join_graph(8, 5, 2);
+    g.analyses()->get<RepetitionVectorAnalysis>(g);
+    const auto warm = warm_throughput(g);
+    ASSERT_NE(warm->state, nullptr);
+
+    const std::vector<ValueEdit> script = {
+        {MutationKind::execution_time, 1, 4}, {MutationKind::execution_time, 2, 9},
+        {MutationKind::execution_time, 1, 5}, {MutationKind::execution_time, 3, 1},
+        {MutationKind::execution_time, 0, 2}};
+    Graph batched = g;
+    EXPECT_EQ(batched.apply_edits(script), script.size());
+
+    // One delta: every slot was refined or kept once, not once per step.
+    EXPECT_EQ(slot_stats(batched, IncrementalThroughputAnalysis::kName).refined, 1u);
+    EXPECT_EQ(slot_stats(batched, RepetitionVectorAnalysis::kName).kept, 1u);
+    const auto inc = batched.analyses()->cached<IncrementalThroughputAnalysis>();
+    ASSERT_NE(inc, nullptr);
+    EXPECT_EQ(inc->refines, warm->refines + 1);
+
+    Graph stepwise = g;
+    for (const ValueEdit& e : script) {
+        stepwise.set_execution_time(e.id, e.value);
+    }
+    const auto step = stepwise.analyses()->cached<IncrementalThroughputAnalysis>();
+    ASSERT_NE(step, nullptr);
+    EXPECT_EQ(step->refines, warm->refines + script.size());
+
+    const ThroughputResult cold = throughput_symbolic(rebuild_cold(batched));
+    expect_same_throughput(inc->result, cold);
+    expect_same_throughput(step->result, cold);
+    expect_same_throughput(*cached_throughput(batched), cold);
+}
+
+TEST(BatchedEdits, TimeTokenTimeScriptDropsTheWarmSlotAndMatchesCold) {
+    Graph g = ring4();
+    ASSERT_NE(warm_throughput(g)->state, nullptr);
+    Graph child = g;
+    const std::vector<ValueEdit> script = {{MutationKind::execution_time, 0, 6},
+                                           {MutationKind::initial_tokens, 3, 3},
+                                           {MutationKind::execution_time, 2, 1}};
+    EXPECT_EQ(child.apply_edits(script), 3u);
+    EXPECT_EQ(child.analyses()->cached<IncrementalThroughputAnalysis>(), nullptr);
+    expect_same_throughput(*cached_throughput(child),
+                           throughput_symbolic(rebuild_cold(child)));
+}
+
+TEST(BatchedEdits, OneFiringSourcingSeveralColumnsRefinesBitExact) {
+    // a fires once per iteration and refills both tokens of a -> b, so
+    // its one finish stamp is two columns of the iteration matrix.
+    Graph g("multirate");
+    const ActorId a = g.add_actor("a", 3);
+    const ActorId b = g.add_actor("b", 2);
+    const ActorId c = g.add_actor("c", 4);
+    g.add_channel(a, b, 2, 1, 2);
+    g.add_channel(b, c, 1, 1, 0);
+    g.add_channel(c, a, 1, 2, 0);
+    g.add_channel(c, c, 1, 1, 1);
+    const auto warm = warm_throughput(g);
+    ASSERT_NE(warm->state, nullptr);
+    const IncrementalSkeleton& sk = *warm->state->skeleton;
+    ASSERT_EQ(sk.column_source.size(), 3u);
+    EXPECT_EQ(sk.column_source[0], sk.column_source[1]);
+    EXPECT_LT(sk.column_source[0], IncrementalSkeleton::kInitial);
+
+    Graph child = g;
+    for (const auto& [actor, time] :
+         std::vector<std::pair<ActorId, Int>>{{a, 9}, {c, 1}, {b, 7}, {a, 0}}) {
+        child.set_execution_time(actor, time);
+        const auto inc = child.analyses()->cached<IncrementalThroughputAnalysis>();
+        ASSERT_NE(inc, nullptr);
+        expect_same_throughput(inc->result, throughput_symbolic(rebuild_cold(child)));
+    }
+}
+
+TEST(BatchedEdits, HighFanInJoinRefinesBitExact) {
+    // The join consumes one token from each of 1024 workers.
+    Graph g = fork_join_graph(1024, 5, 4);
+    ASSERT_NE(warm_throughput(g)->state, nullptr);
+    const ActorId join = *g.find_actor("join");
+    const std::vector<ValueEdit> script = {{MutationKind::execution_time, 7, 40},
+                                           {MutationKind::execution_time, join, 3},
+                                           {MutationKind::execution_time, 700, 1}};
+    Graph child = g;
+    EXPECT_EQ(child.apply_edits(script), 3u);
+    const auto inc = child.analyses()->cached<IncrementalThroughputAnalysis>();
+    ASSERT_NE(inc, nullptr);
+    expect_same_throughput(inc->result, throughput_symbolic(rebuild_cold(child)));
+}
+
+TEST(BatchedEdits, ReplayPastInt64DropsTheSlotInsteadOfWrapping) {
+    Graph g = ring4();
+    ASSERT_NE(warm_throughput(g)->state, nullptr);
+    Graph child = g;
+    // a then b on one token's path: the sum leaves int64.
+    const Int huge = std::numeric_limits<Int>::max() - 1;
+    const std::vector<ValueEdit> script = {{MutationKind::execution_time, 0, huge},
+                                           {MutationKind::execution_time, 1, huge}};
+    EXPECT_EQ(child.apply_edits(script), 2u);
+    EXPECT_EQ(child.analyses()->cached<IncrementalThroughputAnalysis>(), nullptr);
+    EXPECT_THROW(throughput_symbolic(rebuild_cold(child)), ArithmeticError);
+    EXPECT_THROW(cached_throughput(child), ArithmeticError);
 }
 
 // ----------------------------------------------------------------------- adopt
